@@ -21,7 +21,7 @@
 #include "chaos/invariants.hpp"
 #include "networks/fault_router.hpp"
 #include "networks/route_policy.hpp"
-#include "sim/mcmp.hpp"
+#include "sim/event_core.hpp"
 #include "sim/workloads.hpp"
 #include "topology/metrics.hpp"
 

@@ -6,7 +6,7 @@
 
 #include "chaos/adaptive_policy.hpp"
 #include "networks/route_policy.hpp"
-#include "sim/mcmp.hpp"
+#include "sim/event_core.hpp"
 #include "sim/workloads.hpp"
 #include "topology/graph.hpp"
 #include "topology/metrics.hpp"

@@ -2,7 +2,7 @@
 // (a std::vector<FaultEvent>) from a small declarative config, covering the
 // repo's whole fault taxonomy:
 //
-//  * kPermanent  — classic link kills that never heal (the legacy LinkFault
+//  * kPermanent  — classic link kills that never heal (the LinkFault
 //                  model, staggered over time);
 //  * kTransient  — each sampled channel fails and repairs after a fixed
 //                  outage window;

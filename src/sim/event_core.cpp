@@ -34,6 +34,20 @@ OffchipTable OffchipTable::uniform(const Graph& g, bool offchip) {
   return t;
 }
 
+Rerouter make_rerouter(const FaultRouter& router) {
+  return [&router](std::uint64_t at, std::uint64_t dst,
+                   const FaultSet& faults) -> std::vector<std::uint32_t> {
+    const RouteOutcome outcome = router.route(at, dst, faults);
+    if (!outcome.delivered()) return {};
+    std::vector<std::uint32_t> path;
+    path.reserve(outcome.path.size());
+    for (const std::uint64_t u : outcome.path) {
+      path.push_back(static_cast<std::uint32_t>(u));
+    }
+    return path;
+  };
+}
+
 OffchipTable mcmp_offchip_table(const NetworkSpec& net, const Graph& g) {
   return OffchipTable(g, [&](std::int32_t tag) {
     return !is_nucleus(net.generators[static_cast<std::size_t>(tag)].kind);
@@ -142,6 +156,9 @@ EventSimResult run_core(const Graph& g, const OffchipTable& offchip,
                         std::span<const FaultEvent> schedule,
                         const Rerouter* reroute, SimObserver* obs) {
   if (cfg.flits_per_packet < 1) throw std::invalid_argument("flits >= 1");
+  if (offchip.num_arcs() != g.num_links()) {
+    throw std::invalid_argument("offchip table does not cover the graph");
+  }
   const bool lazy = policy != nullptr;
   const bool faulty = cfg.fault_mode;
   const std::size_t n = lazy ? pairs.size() : packets.size();
@@ -424,7 +441,7 @@ EventSimResult run_core(const Graph& g, const OffchipTable& offchip,
   return res;
 }
 
-/// Legacy LinkFault schedules are the kLinkFail-only slice of the taxonomy.
+/// LinkFault schedules are the kLinkFail-only slice of the taxonomy.
 std::vector<FaultEvent> as_chaos(std::span<const LinkFault> schedule) {
   std::vector<FaultEvent> chaos;
   chaos.reserve(schedule.size());

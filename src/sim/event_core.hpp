@@ -1,19 +1,21 @@
-// The unified discrete-event simulation core.
+// The discrete-event simulation core: the one simulator API.
 //
-// One engine subsumes the three simulators that used to be separate event
-// loops: store-and-forward MCMP is the `flits_per_packet == 1` point of the
-// virtual cut-through model, and degradation-under-failure is the same loop
-// with `fault_mode` on (a fault schedule accumulates into a FaultSet;
-// blocked hops time out, re-route through a pluggable Rerouter and
-// retransmit with exponential backoff).  simulate_mcmp,
-// simulate_mcmp_faulty and simulate_cut_through remain as thin wrappers
-// over this core and reproduce their historical results exactly: the event
-// ordering (a min-heap on time with implementation-stable tie handling),
-// the FIFO link-occupancy rule, and every accumulation order are preserved.
+// A single event loop reproduces both of the paper's simulation arguments.
+// Store-and-forward MCMP (Section 4.3: one-flit packets, pin-limited
+// off-chip links) is `flits_per_packet == 1`; virtual cut-through
+// (Section 4.2: multi-flit packets streaming across pipelined hops) is
+// `flits_per_packet > 1`.  Degradation under failure is the same loop with
+// `fault_mode` on: a fault schedule accumulates into a FaultSet, and blocked
+// hops time out, re-route through a pluggable Rerouter and retransmit with
+// exponential backoff.  The event ordering (a min-heap on time with
+// implementation-stable tie handling), the FIFO link-occupancy rule and
+// every accumulation order match the seed's standalone loops bit for bit.
 //
-// Two ways to feed traffic:
+// Two entry points: simulate_events takes a schedule of permanent link
+// kills (LinkFault), simulate_chaos the full fault taxonomy (FaultEvent)
+// plus an optional SimObserver.  Each accepts traffic in two shapes:
 //  * pre-routed: a span of SimPacket whose paths were materialised up
-//    front (the legacy shape);
+//    front;
 //  * lazy: a span of TrafficPair plus a RoutePolicy — the core sorts the
 //    pairs by injection time and routes them in chunks through
 //    RoutePolicy::route_paths the first time a packet's event pops, so a
@@ -21,6 +23,10 @@
 //    (and batch-capable policies amortise it through route_batch and the
 //    relative-permutation cache) instead of materialising every path
 //    before cycle 0.
+//
+// Links are classified on-chip/off-chip by an OffchipTable, which must be
+// built for the simulated graph (OffchipTable(g, pred),
+// OffchipTable::uniform(g, ...) or mcmp_offchip_table).
 //
 // Every run reports SimTelemetry: events processed, queue high-water mark,
 // wall time split between routing and transit, lazy chunk count and the
@@ -31,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "networks/fault_router.hpp"
 #include "networks/route_policy.hpp"
 #include "sim/packet.hpp"
 #include "topology/graph.hpp"
@@ -58,9 +65,9 @@ struct EventSimConfig {
   std::size_t route_chunk = 4096;
 };
 
-/// Superset of the legacy SimResult / FaultSimResult / CutThroughResult
-/// fields; the wrappers project out their slices.  Percentiles, timeout and
-/// stretch fields are populated only in fault mode.  `truncated` mirrors
+/// The result of every simulator run.  Percentiles, timeout and stretch
+/// fields are populated only in fault mode; `flit_hops` counts link
+/// traversals weighted by flits_per_packet.  `truncated` mirrors
 /// telemetry.truncated: the max_cycles watchdog tripped and every packet
 /// still in flight past the horizon was dropped — the counts are a valid
 /// partial state (conservation is asserted), not a silent stop.
@@ -87,8 +94,10 @@ struct EventSimResult {
 
 /// Pre-routed entry point: every packet carries its path.  Paths whose hops
 /// are not arcs of `g` raise std::invalid_argument, as do paths not running
-/// src..dst.  `schedule` and `reroute` are consulted only in fault mode
-/// (a null `reroute` drops packets at the first blocked hop).
+/// src..dst, flits_per_packet < 1, and an `offchip` table not built for `g`
+/// (num_arcs() != g.num_links()).  `schedule` and `reroute` are consulted
+/// only in fault mode (a null `reroute` drops packets at the first blocked
+/// hop).  In fault mode faults accumulate: once dead, a link stays dead.
 EventSimResult simulate_events(const Graph& g, const OffchipTable& offchip,
                                std::span<const SimPacket> packets,
                                const EventSimConfig& cfg,
@@ -130,6 +139,10 @@ EventSimResult simulate_chaos(const Graph& g, const OffchipTable& offchip,
                               std::span<const FaultEvent> schedule,
                               const Rerouter* reroute = nullptr,
                               SimObserver* observer = nullptr);
+
+/// Adapts the fault-aware router into the simulator's Rerouter slot.  The
+/// router must outlive the returned callable.
+Rerouter make_rerouter(const FaultRouter& router);
 
 /// The canonical MCMP link classification for a Cayley network: nucleus
 /// generators are on-chip, super generators off-chip.

@@ -1,10 +1,9 @@
 // Shared traffic value types for the simulation layer.
 //
-// Split out of mcmp.hpp so that every simulator (store-and-forward,
-// cut-through, fault-mode) can consume packets without dragging in the
-// fault-aware router: cutthrough.hpp used to transitively include
-// fault_router.hpp (and with it the whole engine + max-flow machinery) just
-// to see SimPacket.  This header depends only on the topology layer.
+// Packets, fault schedules, the observer hook and the per-arc link
+// classification, kept apart from the event core so that traffic
+// generators and fault tooling can build inputs without dragging in the
+// routing layer.  This header depends only on the topology layer.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +29,6 @@ struct TrafficPair {
   std::uint64_t src = 0;
   std::uint64_t dst = 0;
   std::uint64_t inject_time = 0;
-};
-
-struct SimConfig {
-  int onchip_cycles = 1;    ///< link occupancy of an on-chip hop
-  int offchip_cycles = 1;   ///< link occupancy of an off-chip hop (≈ d_I / w)
 };
 
 /// One scheduled link kill: from cycle `time` on, the u<->v channel is dead
@@ -116,11 +110,11 @@ class SimObserver {
 using Rerouter = std::function<std::vector<std::uint32_t>(
     std::uint64_t at, std::uint64_t dst, const FaultSet& faults)>;
 
-/// Per-arc link classification, precomputed once per simulation.  The
-/// simulators used to call a std::function<bool(int32_t)> on every event —
-/// a type-erased indirect call on the hottest path.  This table memoises
-/// the predicate per distinct edge tag and stores one byte per arc, so the
-/// event loop does a single indexed load instead.
+/// Per-arc link classification, precomputed once per simulation: the
+/// predicate is memoised per distinct edge tag and stored as one byte per
+/// arc, so the event loop does a single indexed load instead of a
+/// type-erased call.  A table is tied to the graph it was built for; the
+/// event core rejects one whose num_arcs() differs from g.num_links().
 class OffchipTable {
  public:
   OffchipTable() = default;
@@ -139,7 +133,7 @@ class OffchipTable {
   std::vector<std::uint8_t> by_arc_;
 };
 
-/// Per-run engine telemetry, threaded through every simulator result.
+/// Per-run engine telemetry, reported with every simulator result.
 /// Counter fields (events, queue peak, chunks, cache) are deterministic;
 /// the *_ns wall-clock splits are host measurements and must never be
 /// compared across runs as invariants.

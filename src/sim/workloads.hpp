@@ -6,7 +6,7 @@
 // Two layers: the *_pairs generators produce routing-free TrafficPair lists
 // (feed these to the event core's lazy entry point together with a
 // RoutePolicy), and the *_packets generators materialise full SimPacket
-// paths up front (the legacy shape; TE/MNB/random packets are byte-identical
+// paths up front (the pre-routed shape; TE/MNB/random packets are byte-identical
 // to what they always produced).  GraphRoutes itself now lives in
 // networks/route_policy.hpp beside the policies; this header re-exports it.
 #pragma once

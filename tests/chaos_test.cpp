@@ -17,7 +17,6 @@
 #include "networks/fault_router.hpp"
 #include "networks/route_policy.hpp"
 #include "sim/event_core.hpp"
-#include "sim/mcmp.hpp"
 #include "sim/workloads.hpp"
 #include "topology/fault.hpp"
 #include "topology/metrics.hpp"

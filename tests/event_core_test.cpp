@@ -1,7 +1,7 @@
-// Unified event core: golden equality against verbatim copies of the seed
+// Event core: golden equality against verbatim copies of the seed
 // simulators (the three standalone event loops the core replaced), lazy
 // injection-time routing == pre-routed-path equivalence, the RoutePolicy
-// registry, and telemetry invariants.
+// registry, off-chip table validation, and telemetry invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +12,7 @@
 #include "analysis/oracle_audit.hpp"
 #include "networks/oracle_policy.hpp"
 #include "networks/route_policy.hpp"
-#include "sim/cutthrough.hpp"
 #include "sim/event_core.hpp"
-#include "sim/mcmp.hpp"
 #include "sim/workloads.hpp"
 #include "topology/baselines.hpp"
 #include "topology/metrics.hpp"
@@ -24,14 +22,14 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Reference implementations: the seed event loops, copied verbatim (modulo
-// names).  The wrappers must reproduce these bit-for-bit — including the
-// double accumulation orders — on any valid workload.
+// names and the config/result types).  simulate_events must reproduce these
+// bit-for-bit — including the double accumulation orders — on any valid
+// workload.
 // ---------------------------------------------------------------------------
 
-SimResult ref_simulate_mcmp(const Graph& g,
-                            const std::function<bool(std::int32_t)>& is_offchip,
-                            std::vector<SimPacket> packets,
-                            const SimConfig& cfg) {
+EventSimResult ref_simulate_mcmp(
+    const Graph& g, const std::function<bool(std::int32_t)>& is_offchip,
+    std::vector<SimPacket> packets, const EventSimConfig& cfg) {
   struct Event {
     std::uint64_t time;
     std::uint32_t packet;
@@ -39,7 +37,7 @@ SimResult ref_simulate_mcmp(const Graph& g,
     bool operator>(const Event& o) const { return time > o.time; }
   };
 
-  SimResult res;
+  EventSimResult res;
   res.packets = packets.size();
   std::vector<std::uint64_t> link_free(g.num_links(), 0);
   std::vector<std::uint64_t> link_busy(g.num_links(), 0);
@@ -60,7 +58,8 @@ SimResult ref_simulate_mcmp(const Graph& g,
     const std::uint64_t arc = g.find_arc(pk.path[ev.hop], pk.path[ev.hop + 1]);
     const bool off = is_offchip(g.arc_tag(arc));
     const std::uint64_t occ =
-        static_cast<std::uint64_t>(off ? cfg.offchip_cycles : cfg.onchip_cycles);
+        static_cast<std::uint64_t>(off ? cfg.offchip_cycles_per_flit
+                                      : cfg.onchip_cycles_per_flit);
     const std::uint64_t start = std::max(ev.time, link_free[arc]);
     link_free[arc] = start + occ;
     link_busy[arc] += occ;
@@ -78,10 +77,10 @@ SimResult ref_simulate_mcmp(const Graph& g,
   return res;
 }
 
-FaultSimResult ref_simulate_mcmp_faulty(
+EventSimResult ref_simulate_mcmp_faulty(
     const Graph& g, const std::function<bool(std::int32_t)>& is_offchip,
     std::vector<SimPacket> packets, std::vector<LinkFault> schedule,
-    const Rerouter& reroute, const FaultSimConfig& cfg) {
+    const Rerouter& reroute, const EventSimConfig& cfg) {
   struct Event {
     std::uint64_t time;
     std::uint32_t packet;
@@ -94,7 +93,7 @@ FaultSimResult ref_simulate_mcmp_faulty(
     std::uint64_t hops_walked = 0;
   };
 
-  FaultSimResult res;
+  EventSimResult res;
   res.packets = packets.size();
   std::sort(schedule.begin(), schedule.end(),
             [](const LinkFault& a, const LinkFault& b) { return a.time < b.time; });
@@ -165,7 +164,8 @@ FaultSimResult ref_simulate_mcmp_faulty(
     const std::uint64_t arc = g.find_arc(u, v);
     const bool off = is_offchip(g.arc_tag(arc));
     const std::uint64_t occ =
-        static_cast<std::uint64_t>(off ? cfg.offchip_cycles : cfg.onchip_cycles);
+        static_cast<std::uint64_t>(off ? cfg.offchip_cycles_per_flit
+                                      : cfg.onchip_cycles_per_flit);
     const std::uint64_t start = std::max(ev.time, link_free[arc]);
     link_free[arc] = start + occ;
     link_busy[arc] += occ;
@@ -202,9 +202,9 @@ FaultSimResult ref_simulate_mcmp_faulty(
   return res;
 }
 
-CutThroughResult ref_simulate_cut_through(
+EventSimResult ref_simulate_cut_through(
     const Graph& g, const std::function<bool(std::int32_t)>& is_offchip,
-    std::vector<SimPacket> packets, const CutThroughConfig& cfg) {
+    std::vector<SimPacket> packets, const EventSimConfig& cfg) {
   struct Event {
     std::uint64_t ready;
     std::uint32_t packet;
@@ -212,7 +212,7 @@ CutThroughResult ref_simulate_cut_through(
     bool operator>(const Event& o) const { return ready > o.ready; }
   };
 
-  CutThroughResult res;
+  EventSimResult res;
   res.packets = packets.size();
   const std::uint64_t flits = static_cast<std::uint64_t>(cfg.flits_per_packet);
   std::vector<std::uint64_t> link_free(g.num_links(), 0);
@@ -311,18 +311,19 @@ std::vector<Family> golden_families() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden equality: wrappers vs the seed loops
+// Golden equality: the core vs the seed loops
 // ---------------------------------------------------------------------------
 
 TEST(GoldenEquality, StoreAndForwardMatchesSeedAcrossFamilies) {
   for (const Family& f : golden_families()) {
     const Graph g = materialize(f.net);
     const auto pkts = staggered(random_traffic_packets(f.net, 4, 7));
-    SimConfig cfg;
-    cfg.onchip_cycles = 1;
-    cfg.offchip_cycles = std::max(1, f.net.intercluster_degree());
-    const SimResult want = ref_simulate_mcmp(g, offchip_of(f.net), pkts, cfg);
-    const SimResult got = simulate_mcmp(g, offchip_of(f.net), pkts, cfg);
+    EventSimConfig cfg;
+    cfg.offchip_cycles_per_flit = std::max(1, f.net.intercluster_degree());
+    const EventSimResult want =
+        ref_simulate_mcmp(g, offchip_of(f.net), pkts, cfg);
+    const EventSimResult got =
+        simulate_events(g, OffchipTable(g, offchip_of(f.net)), pkts, cfg);
     EXPECT_EQ(got.completion_cycles, want.completion_cycles) << f.label;
     EXPECT_EQ(got.avg_latency, want.avg_latency) << f.label;
     EXPECT_EQ(got.packets, want.packets) << f.label;
@@ -336,11 +337,12 @@ TEST(GoldenEquality, StoreAndForwardMatchesSeedOnExplicitGraphs) {
   const Graph graphs[] = {make_hypercube(4), make_torus_2d(4, 5), make_ring(12)};
   for (const Graph& g : graphs) {
     const auto pkts = staggered(random_traffic_packets(g, 5, 23));
-    SimConfig cfg;
-    cfg.offchip_cycles = 3;
+    EventSimConfig cfg;
+    cfg.offchip_cycles_per_flit = 3;
     const auto all = [](std::int32_t) { return true; };
-    const SimResult want = ref_simulate_mcmp(g, all, pkts, cfg);
-    const SimResult got = simulate_mcmp(g, all, pkts, cfg);
+    const EventSimResult want = ref_simulate_mcmp(g, all, pkts, cfg);
+    const EventSimResult got =
+        simulate_events(g, OffchipTable::uniform(g, true), pkts, cfg);
     EXPECT_EQ(got.completion_cycles, want.completion_cycles);
     EXPECT_EQ(got.avg_latency, want.avg_latency);
     EXPECT_EQ(got.total_hops, want.total_hops);
@@ -356,12 +358,14 @@ TEST(GoldenEquality, FaultyMatchesSeedAcrossFamilies) {
     const std::vector<LinkFault> schedule = kills_from(pkts);
     const FaultRouter router(f.net);
     const Rerouter reroute = make_rerouter(router);
-    FaultSimConfig cfg;
-    cfg.offchip_cycles = std::max(1, f.net.intercluster_degree());
-    const FaultSimResult want = ref_simulate_mcmp_faulty(
+    EventSimConfig cfg;
+    cfg.fault_mode = true;
+    cfg.offchip_cycles_per_flit = std::max(1, f.net.intercluster_degree());
+    const EventSimResult want = ref_simulate_mcmp_faulty(
         g, offchip_of(f.net), pkts, schedule, reroute, cfg);
-    const FaultSimResult got = simulate_mcmp_faulty(
-        g, offchip_of(f.net), pkts, schedule, reroute, cfg);
+    const EventSimResult got =
+        simulate_events(g, OffchipTable(g, offchip_of(f.net)), pkts, cfg,
+                        schedule, &reroute);
     EXPECT_EQ(got.packets, want.packets) << f.label;
     EXPECT_EQ(got.delivered, want.delivered) << f.label;
     EXPECT_EQ(got.dropped, want.dropped) << f.label;
@@ -389,13 +393,13 @@ TEST(GoldenEquality, CutThroughMatchesSeedAcrossFamilies) {
     const Graph g = materialize(f.net);
     const auto pkts = staggered(random_traffic_packets(f.net, 3, 31));
     for (const int flits : {1, 4}) {
-      CutThroughConfig cfg;
+      EventSimConfig cfg;
       cfg.flits_per_packet = flits;
       cfg.offchip_cycles_per_flit = std::max(1, f.net.intercluster_degree());
-      const CutThroughResult want =
+      const EventSimResult want =
           ref_simulate_cut_through(g, offchip_of(f.net), pkts, cfg);
-      const CutThroughResult got =
-          simulate_cut_through(g, offchip_of(f.net), pkts, cfg);
+      const EventSimResult got =
+          simulate_events(g, OffchipTable(g, offchip_of(f.net)), pkts, cfg);
       EXPECT_EQ(got.completion_cycles, want.completion_cycles)
           << f.label << " flits=" << flits;
       EXPECT_EQ(got.avg_latency, want.avg_latency)
@@ -602,12 +606,38 @@ TEST(OffchipTable, MatchesPredicatePerArc) {
   }
 }
 
+TEST(OffchipTable, CoreRejectsTableNotBuiltForTheGraph) {
+  // One packet per node on star(4).  An empty table or one built for a
+  // smaller graph must be refused up front, never indexed past its end.
+  const NetworkSpec net = make_star_graph(4);
+  const Graph g = materialize(net);
+  const auto pairs = random_traffic_pairs(net.num_nodes(), 1, 3);
+  GamePolicy pre_policy(net);
+  const std::vector<SimPacket> pkts = packets_for(pre_policy, pairs);
+  const Graph smaller = materialize(make_star_graph(3));
+  const std::vector<FaultEvent> chaos = {FaultEvent::link_fail(2, 0, 1)};
+  for (const OffchipTable& bad :
+       {OffchipTable{}, OffchipTable::uniform(smaller, true)}) {
+    GamePolicy policy(net);
+    EXPECT_THROW(simulate_events(g, bad, pkts, {}), std::invalid_argument);
+    EXPECT_THROW(simulate_events(g, bad, pairs, policy, {}),
+                 std::invalid_argument);
+    EXPECT_THROW(simulate_chaos(g, bad, pkts, {}, chaos),
+                 std::invalid_argument);
+    EXPECT_THROW(simulate_chaos(g, bad, pairs, policy, {}, chaos),
+                 std::invalid_argument);
+  }
+  const EventSimResult ok =
+      simulate_events(g, OffchipTable::uniform(g, true), pkts, {});
+  EXPECT_EQ(ok.packets, net.num_nodes());
+}
+
 TEST(Telemetry, CountsEventsAndQueuePeak) {
   const NetworkSpec net = make_macro_star(2, 2);
   const Graph g = materialize(net);
   const auto pkts = total_exchange_packets(net);
-  SimConfig cfg;
-  const SimResult r = simulate_mcmp(g, mcmp_offchip_table(net, g), pkts, cfg);
+  const EventSimResult r =
+      simulate_events(g, mcmp_offchip_table(net, g), pkts, {});
   // Without faults every packet pops one event per path node: hops transit
   // events plus the arrival event.
   EXPECT_EQ(r.telemetry.events_processed, r.total_hops + r.packets);

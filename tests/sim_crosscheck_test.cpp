@@ -1,13 +1,12 @@
-// Cross-model property tests: with 1-flit packets, the cut-through
-// simulator must agree exactly with the store-and-forward simulator on any
-// workload — the two engines implement the same FIFO-link contention model
-// at that degenerate point.  Randomised over topologies and packet sets.
+// Cross-model property tests on the event core: multi-flit cut-through
+// against store-and-forward with the same per-hop packet occupancy, plus
+// determinism and conservation.  Randomised over topologies and packet
+// sets.
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "sim/cutthrough.hpp"
-#include "sim/mcmp.hpp"
+#include "sim/event_core.hpp"
 #include "sim/workloads.hpp"
 #include "topology/baselines.hpp"
 #include "topology/metrics.hpp"
@@ -35,33 +34,23 @@ std::vector<SimPacket> random_packets(const Graph& g, int count,
   return pkts;
 }
 
-class OneFlitEquivalence : public testing::TestWithParam<int> {};
-
-TEST_P(OneFlitEquivalence, CutThroughEqualsStoreAndForward) {
-  const int occupancy = GetParam();
-  const Graph graphs[] = {make_ring(10), make_hypercube(4), make_torus_2d(4, 5),
-                          make_mesh_2d(3, 6)};
-  for (const Graph& g : graphs) {
-    const auto pkts = random_packets(g, 60, 17 + static_cast<unsigned>(occupancy));
-    SimConfig sf;
-    sf.onchip_cycles = occupancy;
-    sf.offchip_cycles = occupancy;
-    const SimResult a = simulate_mcmp(
-        g, [](std::int32_t) { return true; }, pkts, sf);
-    CutThroughConfig ct;
-    ct.flits_per_packet = 1;
-    ct.onchip_cycles_per_flit = occupancy;
-    ct.offchip_cycles_per_flit = occupancy;
-    const CutThroughResult b = simulate_cut_through(
-        g, [](std::int32_t) { return true; }, pkts, ct);
-    EXPECT_EQ(a.completion_cycles, b.completion_cycles);
-    EXPECT_NEAR(a.avg_latency, b.avg_latency, 1e-9);
-    EXPECT_EQ(a.total_hops, b.flit_hops);
-  }
+/// `flits`-flit cut-through, all links off-chip at one cycle per flit.
+EventSimResult cut_through(const Graph& g, const std::vector<SimPacket>& pkts,
+                           int flits) {
+  EventSimConfig cfg;
+  cfg.flits_per_packet = flits;
+  return simulate_events(g, OffchipTable::uniform(g, true), pkts, cfg);
 }
 
-INSTANTIATE_TEST_SUITE_P(Occupancies, OneFlitEquivalence,
-                         testing::Values(1, 2, 5));
+/// Store-and-forward where every hop occupies its link for `cycles`.
+EventSimResult store_and_forward(const Graph& g,
+                                 const std::vector<SimPacket>& pkts,
+                                 int cycles) {
+  EventSimConfig cfg;
+  cfg.onchip_cycles_per_flit = cycles;
+  cfg.offchip_cycles_per_flit = cycles;
+  return simulate_events(g, OffchipTable::uniform(g, true), pkts, cfg);
+}
 
 TEST(CutThroughVsSaf, PipeliningHelpsUpToSchedulingAnomalies) {
   // With F flits, cut-through pipelines hops.  Under contention, FIFO
@@ -72,15 +61,8 @@ TEST(CutThroughVsSaf, PipeliningHelpsUpToSchedulingAnomalies) {
   for (const Graph& g : graphs) {
     const auto pkts = random_packets(g, 80, 99);
     for (int flits : {2, 4, 8}) {
-      SimConfig sf;
-      sf.onchip_cycles = flits;
-      sf.offchip_cycles = flits;
-      const SimResult a = simulate_mcmp(
-          g, [](std::int32_t) { return true; }, pkts, sf);
-      CutThroughConfig ct;
-      ct.flits_per_packet = flits;
-      const CutThroughResult b = simulate_cut_through(
-          g, [](std::int32_t) { return true; }, pkts, ct);
+      const EventSimResult a = store_and_forward(g, pkts, flits);
+      const EventSimResult b = cut_through(g, pkts, flits);
       EXPECT_LE(b.completion_cycles,
                 a.completion_cycles + static_cast<std::uint64_t>(flits))
           << "flits=" << flits;
@@ -99,14 +81,8 @@ TEST(CutThroughVsSaf, LonePacketStrictlyFasterOnMultiHopPaths) {
   p.dst = 6;
   p.path = routes.path(0, 6);
   for (int flits : {2, 4, 8}) {
-    SimConfig sf;
-    sf.onchip_cycles = flits;
-    sf.offchip_cycles = flits;
-    const SimResult a = simulate_mcmp(g, [](std::int32_t) { return true; }, {p}, sf);
-    CutThroughConfig ct;
-    ct.flits_per_packet = flits;
-    const CutThroughResult b =
-        simulate_cut_through(g, [](std::int32_t) { return true; }, {p}, ct);
+    const EventSimResult a = store_and_forward(g, {p}, flits);
+    const EventSimResult b = cut_through(g, {p}, flits);
     EXPECT_LT(b.completion_cycles, a.completion_cycles) << "flits=" << flits;
   }
 }
@@ -114,10 +90,8 @@ TEST(CutThroughVsSaf, LonePacketStrictlyFasterOnMultiHopPaths) {
 TEST(SimulatorDeterminism, RepeatRunsAgree) {
   const Graph g = make_torus_2d(4, 4);
   const auto pkts = random_packets(g, 100, 7);
-  SimConfig cfg;
-  cfg.offchip_cycles = 3;
-  const SimResult a = simulate_mcmp(g, [](std::int32_t) { return true; }, pkts, cfg);
-  const SimResult b = simulate_mcmp(g, [](std::int32_t) { return true; }, pkts, cfg);
+  const EventSimResult a = store_and_forward(g, pkts, 3);
+  const EventSimResult b = store_and_forward(g, pkts, 3);
   EXPECT_EQ(a.completion_cycles, b.completion_cycles);
   EXPECT_EQ(a.total_hops, b.total_hops);
   EXPECT_NEAR(a.avg_latency, b.avg_latency, 1e-12);
@@ -126,8 +100,7 @@ TEST(SimulatorDeterminism, RepeatRunsAgree) {
 TEST(SimulatorConservation, EveryPacketArrivesOnce) {
   const Graph g = make_hypercube(5);
   const auto pkts = random_packets(g, 200, 23);
-  SimConfig cfg;
-  const SimResult r = simulate_mcmp(g, [](std::int32_t) { return true; }, pkts, cfg);
+  const EventSimResult r = store_and_forward(g, pkts, 1);
   EXPECT_EQ(r.packets, 200u);
   std::uint64_t expected_hops = 0;
   for (const SimPacket& p : pkts) expected_hops += p.path.size() - 1;
