@@ -1,5 +1,5 @@
 // RouteService serving benchmark: thread-scaling under closed-loop load,
-// the linger-vs-latency micro-batching trade-off, and graceful overload
+// open-loop latency on the default config, and graceful overload
 // shedding.  Every cell re-verifies correctness (sampled words byte-equal
 // to scalar route(), offered == delivered + shed exactly) so the emitted
 // bench/baseline_serve.json gates invariants, not just rates, through
@@ -52,11 +52,11 @@ int main() {
   Json json;
 
   // -------------------------------------------------------------------
-  // Thread scaling: closed loop, linger off, throughput bounded by the
-  // workers' solve rate.  serve_rps is the regression-gated rate; each
-  // workers cell gates against its own baseline, so the gate holds on any
-  // core count (on a single-core runner the curve is flat-to-negative —
-  // the sweep still proves each configuration serves correctly).
+  // Thread scaling: closed loop, throughput bounded by the workers' solve
+  // rate.  serve_rps is the regression-gated rate; each workers cell gates
+  // against its own baseline, so the gate holds on any core count (on a
+  // single-core runner the curve is flat-to-negative — the sweep still
+  // proves each configuration serves correctly).
   // -------------------------------------------------------------------
   json.begin_array("thread_scaling");
   const std::vector<scg::TrafficPair> scaling_pairs =
@@ -65,7 +65,6 @@ int main() {
     scg::RouteServiceConfig cfg;
     cfg.workers = workers;
     cfg.max_batch = 128;
-    cfg.linger_us = 0;
     // Cache off: every request pays a real solve, so the curve measures
     // worker scaling rather than the submit path.  Per-batch coalescing
     // still deduplicates translation-equivalent batchmates.
@@ -105,33 +104,27 @@ int main() {
   json.end_array();
 
   // -------------------------------------------------------------------
-  // Linger trade-off: open-loop Poisson arrivals at a fixed rate; a longer
-  // linger builds bigger batches (higher occupancy, better coalescing) at
-  // the price of added queueing latency.
+  // Open loop: Poisson arrivals at a fixed rate on the default config.
+  // Batches form only from the backlog that builds while a worker solves,
+  // so at this rate they stay small (mean ~2) and p50 is close to the bare
+  // hand-off cost (submit -> worker -> reply).
   // -------------------------------------------------------------------
-  json.begin_array("linger_tradeoff");
-  const std::vector<scg::TrafficPair> linger_pairs =
-      scg::random_traffic_pairs(net.num_nodes(), /*per_node=*/4, /*seed=*/23);
-  for (const std::uint64_t linger_us : {0, 100, 1000}) {
-    scg::RouteServiceConfig cfg;
-    cfg.workers = 2;
-    cfg.max_batch = 256;
-    cfg.linger_us = linger_us;
-    cfg.queue_capacity = 1 << 14;
-    scg::RouteService svc(net, cfg);
-
+  json.begin_array("open_loop");
+  {
+    scg::RouteService svc(net);
+    const std::vector<scg::TrafficPair> pairs =
+        scg::random_traffic_pairs(net.num_nodes(), /*per_node=*/4, /*seed=*/23);
     scg::LoadGenConfig lg;
     lg.mode = scg::LoadGenConfig::Mode::kOpen;
     lg.offered_qps = 40'000;
     lg.seed = 5;
-    const scg::LoadGenReport rep = run_loadgen(svc, linger_pairs, lg);
+    const scg::LoadGenReport rep = run_loadgen(svc, pairs, lg);
     const scg::ServiceStatsSnapshot snap = svc.snapshot();
 
-    json.row(kv("name", std::string("linger")) + ", " + kv("family", family) +
-             ", " + kv("mode", std::string("open")) + ", " +
-             kv("workers", std::uint64_t{2}) + ", " +
-             kv("linger_us", linger_us) + ", " +
-             kv("qps", std::uint64_t{40'000}) + ", " +
+    json.row(kv("name", std::string("open_loop")) + ", " +
+             kv("family", family) + ", " + kv("mode", std::string("open")) +
+             ", " + kv("workers", static_cast<std::uint64_t>(svc.workers())) +
+             ", " + kv("qps", std::uint64_t{40'000}) + ", " +
              kv("offered", rep.offered) + ", " +
              kv("conservation", conserved(rep, snap)) + ", " +
              kv("p50_us", static_cast<double>(rep.latency.p50) / 1e3) + ", " +
@@ -139,9 +132,8 @@ int main() {
              kv("occupancy_mean", snap.occupancy_mean) + ", " +
              kv("coalesced", snap.coalesced) + ", " +
              kv("cache_hit_rate", snap.cache_hit_rate()));
-    std::printf("linger_tradeoff linger=%llu us: p50=%.0f us  p99=%.0f us  "
+    std::printf("open_loop 40000 qps: p50=%.0f us  p99=%.0f us  "
                 "occupancy=%.1f\n",
-                static_cast<unsigned long long>(linger_us),
                 static_cast<double>(rep.latency.p50) / 1e3,
                 static_cast<double>(rep.latency.p99) / 1e3,
                 snap.occupancy_mean);
@@ -158,7 +150,6 @@ int main() {
     scg::RouteServiceConfig cfg;
     cfg.workers = 2;
     cfg.max_batch = 128;
-    cfg.linger_us = 100;
     cfg.admission.rate_limit_qps = 10'000;
     scg::RouteService svc(net, cfg);
 

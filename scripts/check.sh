@@ -70,6 +70,17 @@ oracle_table="$(mktemp /tmp/scg-oracle.XXXXXX)"
 ./build/examples/scg_cli oracle query MS 2 2 "$oracle_table" 53421 12345
 rm -f "$oracle_table"
 
+gate "oracle bench: exact table statistics gate"
+# bench_oracle rebuilds the full tables and audits the game routers; the
+# JSON gate pins states / diameter / sources / max_gap per row exactly.
+# Build times and float averages are reported, not gated.
+oracle_dir="$(mktemp -d /tmp/scg-oracle-bench.XXXXXX)"
+mkdir -p "$oracle_dir/bench"
+./build/bench/bench_oracle "$oracle_dir/bench/baseline_oracle.json"
+python3 scripts/compare_bench.py bench/baseline_oracle.json \
+  "$oracle_dir/bench/baseline_oracle.json" --tolerance 0.5
+rm -rf "$oracle_dir"
+
 gate "routing benches: correctness report + engine throughput gate"
 ./build/bench/bench_routing
 # bench_engine writes bench/baseline_engine.json relative to its cwd; run

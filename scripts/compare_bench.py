@@ -34,7 +34,7 @@ IDENTITY_FIELDS = ("name", "workload", "policy", "k", "pairs", "flows",
                    "threads", "link_kills", "links_failed",
                    "family", "kind", "rate", "outages", "slow_links",
                    # Serving cells (bench/baseline_serve.json).
-                   "workers", "mode", "linger_us", "offered", "concurrency",
+                   "workers", "mode", "offered", "concurrency",
                    "qps", "rate_limit")
 INVARIANT_FIELDS = {
     "hops_agree",
@@ -71,6 +71,15 @@ INVARIANT_FIELDS = {
     "conservation",
     "words_ok",
     "shed_nonzero",
+    # Distance oracle (bench/baseline_oracle.json): table size, exact
+    # diameter, audited source count and worst router gap are exact
+    # functions of the family, independent of machine speed and thread
+    # count.  Floats (avg_distance, stretch) stay ungated for the same
+    # printf-formatting reason as the chaos cells.
+    "states",
+    "diameter",
+    "sources",
+    "max_gap",
     # Kernel microbenches (bench/baseline_kernels.json): every SIMD tier
     # must be byte-identical to the scalar reference on the bench inputs.
     # The dispatch tier itself is stamped into the "meta" object (skipped

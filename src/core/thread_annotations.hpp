@@ -26,7 +26,6 @@
 // wrap, so non-clang builds and the sanitizer presets are unaffected.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -127,16 +126,6 @@ class CondVar {
   void wait(MutexLock& lk, Mutex& mu) SCG_REQUIRES(mu) {
     static_cast<void>(mu);
     cv_.wait(lk.native());
-  }
-
-  /// Timed wait; std::cv_status::timeout when `deadline` passed first.
-  template <typename Clock, typename Duration>
-  std::cv_status wait_until(
-      MutexLock& lk, Mutex& mu,
-      const std::chrono::time_point<Clock, Duration>& deadline)
-      SCG_REQUIRES(mu) {
-    static_cast<void>(mu);
-    return cv_.wait_until(lk.native(), deadline);
   }
 
   void notify_one() noexcept { cv_.notify_one(); }

@@ -37,6 +37,12 @@ struct OracleHeader {
 };
 static_assert(sizeof(OracleHeader) == 72, "header layout is part of the format");
 
+/// Out of line and cold: keeps the exception set-up off the query paths.
+[[noreturn]] [[gnu::cold]] void throw_rank_out_of_range(const char* where) {
+  throw std::out_of_range(std::string("DistanceOracle::") + where +
+                          ": rank past num_states");
+}
+
 /// Claims the 2-bit entry of `v` for value `val` iff it is still unvisited
 /// (3).  Lock-free; concurrent claims of entries sharing a word retry.
 bool claim_entry(std::vector<std::uint64_t>& table, std::uint64_t v,
@@ -183,10 +189,14 @@ void DistanceOracle::finish_stats() {
 }
 
 int DistanceOracle::distance_to_identity(std::uint64_t rank) const {
+  if (rank >= num_states_) throw_rank_out_of_range("distance_to_identity");
   return descend(rank, nullptr);
 }
 
 int DistanceOracle::exact_distance(std::uint64_t u, std::uint64_t v) const {
+  if (u >= num_states_ || v >= num_states_) {
+    throw_rank_out_of_range("exact_distance");
+  }
   if (u == v) return 0;
   return exact_distance(Permutation::unrank(net_->k(), u),
                         Permutation::unrank(net_->k(), v));

@@ -71,10 +71,11 @@ class DistanceOracle {
   void save(const std::string& path) const;
 
   /// Exact d(u -> identity) by mod-3 descent; -1 if the identity is
-  /// unreachable from u.
+  /// unreachable from u.  Throws std::out_of_range for rank >= num_states().
   int distance_to_identity(std::uint64_t rank) const;
 
-  /// Exact d(u -> v) via vertex-transitivity; -1 if unreachable.
+  /// Exact d(u -> v) via vertex-transitivity; -1 if unreachable.  The rank
+  /// overload throws std::out_of_range for a rank >= num_states().
   int exact_distance(const Permutation& u, const Permutation& v) const;
   int exact_distance(std::uint64_t u, std::uint64_t v) const;
 

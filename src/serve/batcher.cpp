@@ -143,8 +143,7 @@ void RouteService::worker_loop(std::size_t w) {
   std::unordered_map<std::uint64_t, std::uint32_t> slot_of;
   RouteBatch solved;
 
-  const std::chrono::microseconds linger(cfg_.linger_us);
-  while (queue.pop_batch(batch, cfg_.max_batch, linger) > 0) {
+  while (queue.pop_batch(batch, cfg_.max_batch) > 0) {
     const std::uint64_t t_batch = serve_now_ns();
     queued_depth_.fetch_sub(batch.size(), std::memory_order_relaxed);
 
@@ -163,7 +162,7 @@ void RouteService::worker_loop(std::size_t w) {
     uniq_dst.assign(uniq_rel.size(), identity_rank_);
     engine_.route_batch(uniq_rel, uniq_dst, solved);
     const std::uint64_t t_solved = serve_now_ns();
-    // Coalescing can only shrink a batch, and the dual trigger caps it.
+    // Coalescing can only shrink a batch, and pop_batch caps it.
     SCG_CHECK_LE(uniq_rel.size(), batch.size());
     SCG_CHECK_LE(batch.size(), cfg_.max_batch);
     stats_.on_batch(batch.size(), uniq_rel.size());

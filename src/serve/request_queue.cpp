@@ -62,39 +62,18 @@ bool RequestQueue::push(ServeRequest&& r) {
 }
 
 std::size_t RequestQueue::pop_batch(std::vector<ServeRequest>& out,
-                                    std::size_t max,
-                                    std::chrono::microseconds linger) {
+                                    std::size_t max) {
   out.clear();
   if (max == 0) max = 1;
-  MutexLock lk(mu_);
-  while (!has_data()) cv_data_.wait(lk, mu_);
-  if (q_.empty()) return 0;  // closed and drained
-
-  // Batch opens with the first request; top it up until full or the linger
-  // deadline passes.  A zero linger drains whatever is already queued and
-  // returns immediately.
-  const auto deadline = std::chrono::steady_clock::now() + linger;
-  for (;;) {
+  {
+    MutexLock lk(mu_);
+    while (!has_data()) cv_data_.wait(lk, mu_);
     while (!q_.empty() && out.size() < max) {
       out.push_back(std::move(q_.front()));
       q_.pop_front();
     }
-    if (out.size() >= max || closed_) break;
-    if (linger.count() <= 0) break;
-    // Timed wait with an explicit predicate re-check loop (spurious
-    // wake-ups and the timeout race both re-evaluate has_data()).
-    bool timed_out = false;
-    while (!has_data()) {
-      if (cv_data_.wait_until(lk, mu_, deadline) == std::cv_status::timeout) {
-        timed_out = !has_data();
-        break;
-      }
-    }
-    if (timed_out) break;   // linger expired with nothing new
-    if (q_.empty()) break;  // woken by close
   }
-  lk.unlock();
-  cv_space_.notify_all();
+  if (!out.empty()) cv_space_.notify_all();
   return out.size();
 }
 

@@ -2,12 +2,13 @@
 //
 // Producers (client threads inside RouteService::submit) push admitted
 // ServeRequests; consumers (the micro-batch workers in serve/batcher.*)
-// drain them in dual-trigger batches: a drain returns as soon as it holds
-// `max` requests OR `linger` has elapsed since the batch opened, whichever
-// comes first.  The queue is deliberately a small mutex+condvar ring — the
-// solver work per request is microseconds, so queue overhead is not the
-// bottleneck; what matters is that it is *bounded* (backpressure, not OOM),
-// *closeable* (shutdown drains, never drops), and *instrumented*
+// drain them by backlog: a drain blocks only until the queue is non-empty,
+// then takes everything queued, up to `max`, and returns at once.  There is
+// no timer — batches are whatever built up while the worker was busy with
+// its previous solve.  The queue is deliberately a small mutex+condvar
+// ring — the solver work per request is microseconds, so queue overhead is
+// not the bottleneck; what matters is that it is *bounded* (backpressure,
+// not OOM), *closeable* (shutdown drains, never drops), and *instrumented*
 // (depth/high-water/enqueue-block counters feed admission control and the
 // SLO snapshot).
 //
@@ -17,7 +18,6 @@
 // pins offered == delivered + shed exactly.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -89,13 +89,10 @@ class RequestQueue {
   bool push(ServeRequest&& r);
 
   /// Drains up to `max` requests into `out` (cleared first).  Blocks until
-  /// at least one request is available or the queue is closed and empty.
-  /// Once the first request of a batch is taken, keeps topping the batch up
-  /// until it holds `max` requests or `linger` has elapsed (dual trigger).
-  /// Returns the number drained; 0 means closed-and-empty (consumer should
-  /// exit).
-  std::size_t pop_batch(std::vector<ServeRequest>& out, std::size_t max,
-                        std::chrono::microseconds linger);
+  /// at least one request is available or the queue is closed and empty,
+  /// then returns whatever is queued without waiting for more.  Returns the
+  /// number drained; 0 means closed-and-empty (consumer should exit).
+  std::size_t pop_batch(std::vector<ServeRequest>& out, std::size_t max);
 
   /// Stops new pushes and wakes every waiter.  Queued requests remain
   /// drainable; pop_batch keeps returning them until the queue is empty.

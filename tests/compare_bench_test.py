@@ -86,6 +86,31 @@ class CompareBenchTest(unittest.TestCase):
         rc, out = run(GOOD, fresh)
         self.assertEqual(rc, 0, out)
 
+    def test_oracle_integer_fields_are_invariants(self):
+        # Shape of bench/baseline_oracle.json: timings and float averages
+        # may drift with the machine, the exact integer outputs may not.
+        base = {
+            "build": [{"name": "MS(2,4)", "states": 362880, "diameter": 16,
+                       "build_seconds": 0.09, "avg_distance": 10.86}],
+            "route_audit": [{"name": "MS(2,3)", "sources": 5039,
+                             "max_gap": 14, "avg_stretch": 1.25}],
+        }
+        drift = json.loads(json.dumps(base))
+        drift["build"][0]["build_seconds"] = 9.0
+        drift["build"][0]["avg_distance"] = 10.5
+        drift["route_audit"][0]["avg_stretch"] = 1.3
+        rc, out = run(base, drift)
+        self.assertEqual(rc, 0, out)
+        for section, field in (("build", "states"), ("build", "diameter"),
+                               ("route_audit", "sources"),
+                               ("route_audit", "max_gap")):
+            fresh = json.loads(json.dumps(base))
+            fresh[section][0][field] += 1
+            rc, out = run(base, fresh)
+            self.assertEqual(rc, 1, out)
+            self.assertIn(f".{field}:", out)
+            self.assertIn("must be identical", out)
+
     def test_invalid_json_names_the_file(self):
         rc, out = run("{not json", GOOD)
         self.assertEqual(rc, 1, out)

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -218,6 +219,22 @@ TEST(Oracle, LoadRejectsCorruptedHeader) {
     EXPECT_THROW(DistanceOracle::load(path, net), std::runtime_error);
   }
   std::remove(path.c_str());
+}
+
+TEST(Oracle, RejectsOutOfRangeRanks) {
+  // Past-the-end ranks would read the 2-bit table beyond its last state
+  // (or its padding) or be folded onto another node by unrank's divmod.
+  const NetworkSpec net = make_macro_star(2, 2);
+  const DistanceOracle oracle = DistanceOracle::build(net);
+  const std::uint64_t n = oracle.num_states();
+  const std::uint64_t e = Permutation::identity(net.k()).rank();
+  EXPECT_EQ(oracle.distance_to_identity(n - 1),
+            oracle.exact_distance(n - 1, e));
+  EXPECT_THROW(oracle.distance_to_identity(n), std::out_of_range);
+  EXPECT_THROW(oracle.distance_to_identity(n + 31), std::out_of_range);
+  EXPECT_THROW(oracle.exact_distance(n, 0), std::out_of_range);
+  EXPECT_THROW(oracle.exact_distance(0, n), std::out_of_range);
+  EXPECT_THROW(oracle.exact_distance(n, n), std::out_of_range);
 }
 
 TEST(Oracle, RejectsOversizedNetwork) {
