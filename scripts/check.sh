@@ -6,7 +6,8 @@
 #   3. standalone UBSan build of the kernel-heavy suites (permutation,
 #      SIMD perm kernels, route engine, oracle), run directly;
 #   4. TSan build of the concurrency-heavy suites (ThreadPool, event-core
-#      lazy routing, chaos campaign), run directly;
+#      lazy routing, chaos campaign, serving layer, oracle build), run
+#      directly;
 #   5. static analysis, when the tools are installed: a clang build with
 #      -Werror=thread-safety (plus the negative-compilation tests proving
 #      the annotations bite), the clang-tidy gate, and shellcheck over
@@ -179,15 +180,17 @@ cmake --build --preset ubsan -j"$(nproc)"
 ./build-ubsan/tests/oracle_test
 
 gate "sanitizers: tsan build, concurrency suites"
-# ThreadPool, the event core's lazy routing, the chaos campaign, and the
-# serving layer are the threaded / observer-callback-heavy surfaces; run
-# their suites under TSan.
+# ThreadPool, the event core's lazy routing, the chaos campaign, the
+# serving layer and the oracle build (pull levels read table words other
+# chunks are writing) are the threaded / observer-callback-heavy surfaces;
+# run their suites under TSan.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ./build-tsan/tests/parallel_test
 ./build-tsan/tests/event_core_test
 ./build-tsan/tests/chaos_test
 ./build-tsan/tests/serve_test
+./build-tsan/tests/oracle_test
 
 gate "static analysis: clang thread-safety build"
 if command -v clang++ >/dev/null 2>&1; then

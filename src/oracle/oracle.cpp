@@ -62,13 +62,41 @@ bool claim_entry(std::vector<std::uint64_t>& table, std::uint64_t v,
   return false;
 }
 
+/// Sets the 2-bit entry of `v` to `val`.  The caller must be the only
+/// writer of v's word; concurrent readers see the old or the new word.
 void set_entry(std::vector<std::uint64_t>& table, std::uint64_t v,
                std::uint64_t val) {
   SCG_DCHECK_LT(val, std::uint64_t{3});
   SCG_DCHECK_LT(v >> 5, table.size());
+  std::atomic_ref<std::uint64_t> word(table[v >> 5]);
   const int shift = static_cast<int>(v & 31) * 2;
-  table[v >> 5] =
-      (table[v >> 5] & ~(std::uint64_t{3} << shift)) | (val << shift);
+  word.store((word.load(std::memory_order_relaxed) &
+              ~(std::uint64_t{3} << shift)) |
+                 (val << shift),
+             std::memory_order_relaxed);
+}
+
+/// Relaxed reads for pull levels, where another chunk may be storing into
+/// the word being read.
+std::uint64_t load_word(std::vector<std::uint64_t>& table, std::uint64_t i) {
+  return std::atomic_ref<std::uint64_t>(table[i]).load(
+      std::memory_order_relaxed);
+}
+
+std::uint64_t load_entry(std::vector<std::uint64_t>& table, std::uint64_t v) {
+  return (load_word(table, v >> 5) >> ((v & 31) * 2)) & 3;
+}
+
+constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
+
+/// Bit i set iff entry i of the table word is the unvisited sentinel 3.
+std::uint64_t unvisited_mask32(std::uint64_t word) {
+  std::uint64_t x = word & (word >> 1) & kEvenBits;  // entry i -> bit 2i
+  x = (x | (x >> 1)) & 0x3333333333333333ULL;
+  x = (x | (x >> 2)) & 0x0f0f0f0f0f0f0f0fULL;
+  x = (x | (x >> 4)) & 0x00ff00ff00ff00ffULL;
+  x = (x | (x >> 8)) & 0x0000ffff0000ffffULL;
+  return (x | (x >> 16)) & 0x00000000ffffffffULL;
 }
 
 }  // namespace
@@ -124,35 +152,76 @@ DistanceOracle DistanceOracle::build(const NetworkSpec& net, ThreadPool* pool) {
   while (true) {
     ++level;
     const std::uint64_t val = static_cast<std::uint64_t>(level % 3);
+    const std::uint64_t parent_val =
+        static_cast<std::uint64_t>((level + 2) % 3);
+    // Direction-optimizing BFS (Beamer et al., SC'12).  Push expands the
+    // frontier over the reverse view and claims unvisited neighbors.  Pull
+    // expands every unvisited state over the forward view and labels it as
+    // soon as one neighbor holds residue (level-1) mod 3.  That is exact on
+    // directed networks too: an unvisited u has d(u) >= level, so an
+    // out-neighbor v has d(v) >= level-1, and a labelled one has d(v) <=
+    // level-1; entries written during this level hold level mod 3, so they
+    // are never taken for a parent.  Pull pays once fewer states are
+    // unvisited than sit in the frontier.
+    const bool pull = n - o.reachable_ < o.histogram_.back();
+    const NetworkView& view = pull ? o.fwd_ : rev;
+    // Bit i set iff state 64w+i is unvisited; padding past n is masked off.
+    const auto unvisited_bits = [&](std::uint64_t w) {
+      std::uint64_t bits = unvisited_mask32(load_word(o.table_, 2 * w));
+      if (2 * w + 1 < o.table_.size()) {
+        bits |= unvisited_mask32(load_word(o.table_, 2 * w + 1)) << 32;
+      }
+      const std::uint64_t left = n - w * 64;
+      return left < 64 ? bits & ((std::uint64_t{1} << left) - 1) : bits;
+    };
     std::atomic<std::uint64_t> found{0};
     parallel_for_chunks(
         bitmap_words,
         [&](std::uint64_t lo, std::uint64_t hi) {
-          // Frontier states are gathered into fixed blocks and expanded
-          // through the kernel-batched view API (one lockstep unrank pass
-          // per block); rows keep the per-state neighbor order, so claims
-          // and counts are exactly those of the per-state loop.
+          // States are gathered into fixed blocks and expanded through the
+          // kernel-batched view API (one lockstep unrank pass per block);
+          // rows keep the per-state neighbor order, so claims and counts are
+          // exactly those of the per-state loop.  A chunk owns bitmap words
+          // [lo, hi) and so table words [2lo, 2hi): pull labels only its own
+          // states, with single-owner relaxed stores instead of a CAS, sets
+          // its own `next` bits plainly, and reads other chunks' words with
+          // relaxed loads.
           constexpr std::size_t kBlock = 128;
-          const std::size_t deg = static_cast<std::size_t>(rev.degree());
+          const std::size_t deg = static_cast<std::size_t>(view.degree());
           std::array<std::uint64_t, kBlock> ranks;
           std::vector<std::uint64_t> nbrs(kBlock * deg);
           std::size_t m = 0;
           std::uint64_t local = 0;
           const auto flush = [&] {
-            rev.expand_neighbors_block({ranks.data(), m}, nbrs.data());
-            for (std::size_t s = 0; s < m * deg; ++s) {
-              const std::uint64_t v = nbrs[s];
-              if (claim_entry(o.table_, v, val)) {
-                std::atomic_ref<std::uint64_t>(next[v >> 6])
-                    .fetch_or(std::uint64_t{1} << (v & 63),
-                              std::memory_order_relaxed);
-                ++local;
+            view.expand_neighbors_block({ranks.data(), m}, nbrs.data());
+            for (std::size_t i = 0; i < m; ++i) {
+              const std::uint64_t* row = nbrs.data() + i * deg;
+              if (pull) {
+                const std::uint64_t u = ranks[i];
+                for (std::size_t j = 0; j < deg; ++j) {
+                  if (load_entry(o.table_, row[j]) == parent_val) {
+                    set_entry(o.table_, u, val);
+                    next[u >> 6] |= std::uint64_t{1} << (u & 63);
+                    ++local;
+                    break;
+                  }
+                }
+              } else {
+                for (std::size_t j = 0; j < deg; ++j) {
+                  const std::uint64_t v = row[j];
+                  if (claim_entry(o.table_, v, val)) {
+                    std::atomic_ref<std::uint64_t>(next[v >> 6])
+                        .fetch_or(std::uint64_t{1} << (v & 63),
+                                  std::memory_order_relaxed);
+                    ++local;
+                  }
+                }
               }
             }
             m = 0;
           };
           for (std::uint64_t w = lo; w < hi; ++w) {
-            std::uint64_t bits = frontier[w];
+            std::uint64_t bits = pull ? unvisited_bits(w) : frontier[w];
             while (bits != 0) {
               ranks[m++] =
                   w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
@@ -171,7 +240,8 @@ DistanceOracle DistanceOracle::build(const NetworkSpec& net, ThreadPool* pool) {
     frontier.swap(next);
     std::fill(next.begin(), next.end(), 0);
   }
-  // Every claim is unique (the CAS admits each state once), so the BFS can
+  // Every state is labelled once: a push claim is a CAS on the sentinel and
+  // a pull visits only sentinel entries of its own words.  So the BFS can
   // never count more states than exist.
   SCG_CHECK_LE(o.reachable_, n);
   o.finish_stats();
@@ -391,9 +461,27 @@ DistanceOracle DistanceOracle::load(const std::string& path,
   if (std::fgetc(f) != EOF) throw fail("trailing bytes after table");
   std::fclose(f);
 
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : o.histogram_) total += c;
-  if (total != o.reachable_ || o.residue(o.identity_rank_) != 0) {
+  // The table must hold exactly the histogram's states in each residue
+  // class, n - reachable sentinels, and sentinels in every padding entry, so
+  // any single changed entry is caught here rather than by a wrong answer.
+  const std::uint64_t entries = o.table_.size() * 32;  // padding included
+  std::array<std::uint64_t, 4> want{0, 0, 0, entries - o.reachable_};
+  for (std::size_t d = 0; d < o.histogram_.size(); ++d) {
+    want[d % 3] += o.histogram_[d];
+  }
+  std::array<std::uint64_t, 4> have{};
+  for (const std::uint64_t t : o.table_) {
+    const std::uint64_t lo = t & kEvenBits;
+    const std::uint64_t hi = (t >> 1) & kEvenBits;
+    have[1] += static_cast<std::uint64_t>(std::popcount(lo & ~hi));
+    have[2] += static_cast<std::uint64_t>(std::popcount(hi & ~lo));
+    have[3] += static_cast<std::uint64_t>(std::popcount(lo & hi));
+  }
+  have[0] = entries - have[1] - have[2] - have[3];
+  const int tail = static_cast<int>(o.num_states_ & 31) * 2;
+  const bool padding_ok =
+      tail == 0 || (o.table_.back() >> tail) == (~std::uint64_t{0} >> tail);
+  if (have != want || !padding_ok || o.residue(o.identity_rank_) != 0) {
     throw std::runtime_error("DistanceOracle::load: " + path +
                              ": corrupt payload");
   }

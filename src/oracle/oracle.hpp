@@ -30,11 +30,20 @@
 // shortest game play between any two nodes, the benchmark every router in
 // this library is audited against (see analysis/oracle_audit.hpp).
 //
+// Construction is a direction-optimizing BFS (Beamer et al., SC'12).  A
+// level *pushes* — expands the frontier over the reverse view and claims
+// unvisited neighbors by CAS — while the frontier is no larger than the set
+// of unvisited states, and *pulls* once it is larger: every unvisited state
+// is expanded over the forward view and labelled as soon as one neighbor
+// holds residue (level-1) mod 3, which on directed networks too is exactly
+// a neighbor at distance level-1.  Either direction yields the same table.
+//
 // k = 12 (479M states) fits the table in ~120 MB; construction additionally
 // uses two frontier bitmaps of N/8 bytes each.  Tables persist to disk in a
 // versioned format whose header pins family, parameters and a hash of the
-// compiled generator set, so a stale or mismatched table can never be
-// silently loaded (see save()/load()).
+// compiled generator set, so a stale or mismatched table is rejected on
+// load, as is a payload whose per-residue entry counts disagree with its
+// histogram (see save()/load()).
 #pragma once
 
 #include <cstdint>
@@ -58,13 +67,17 @@ inline constexpr int kMaxOracleSymbols = 12;
 class DistanceOracle {
  public:
   /// Builds the table by parallel retrograde BFS from the identity (toward-
-  /// identity distances, i.e. over the reverse view).  Throws for k >
-  /// kMaxOracleSymbols.
+  /// identity distances): push levels over the reverse view, pull levels
+  /// over the forward view once fewer states are unvisited than sit in the
+  /// frontier.  Throws for k > kMaxOracleSymbols.
   static DistanceOracle build(const NetworkSpec& net, ThreadPool* pool = nullptr);
 
   /// Loads a table previously written by save().  Verifies the header magic,
-  /// version, family, parameters and generator hash against `net`; throws
-  /// std::runtime_error on any mismatch, corruption or truncation.
+  /// version, family, parameters and generator hash against `net`, and that
+  /// the table holds, per residue class r, as many entries as the histogram
+  /// has states at distances d ≡ r (mod 3), num_states - reachable
+  /// sentinels, and sentinels in its padding; throws std::runtime_error on
+  /// any mismatch, corruption or truncation.
   static DistanceOracle load(const std::string& path, const NetworkSpec& net);
 
   /// Writes the versioned on-disk format (header + histogram + 2-bit table).

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "networks/oracle_router.hpp"
 #include "networks/router.hpp"
 #include "oracle/oracle.hpp"
+#include "parallel/thread_pool.hpp"
 #include "topology/bfs.hpp"
 #include "topology/metrics.hpp"
 
@@ -182,17 +185,26 @@ TEST(Oracle, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// save() output as bytes: equal bytes mean equal header, histogram and table.
+std::string saved_bytes(const DistanceOracle& oracle, const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  oracle.save(path);
+  std::string bytes = read_bytes(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
 TEST(Oracle, LoadRejectsCorruptedHeader) {
   const NetworkSpec net = make_macro_star(2, 2);
   DistanceOracle::build(net).save(::testing::TempDir() + "oracle_corrupt.bin");
   const std::string path = ::testing::TempDir() + "oracle_corrupt.bin";
 
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::string bytes = read_bytes(path);
   ASSERT_GT(bytes.size(), 72u);
 
   {  // flipped magic
@@ -219,6 +231,65 @@ TEST(Oracle, LoadRejectsCorruptedHeader) {
     EXPECT_THROW(DistanceOracle::load(path, net), std::runtime_error);
   }
   std::remove(path.c_str());
+}
+
+TEST(Oracle, LoadRejectsCorruptedPayload) {
+  // A bit flip in the 2-bit table changes exactly one entry: one state moves
+  // to another residue class (or a padding entry leaves the sentinel), so
+  // the per-class counts no longer match the histogram.
+  const NetworkSpec net = make_macro_star(2, 2);
+  const DistanceOracle oracle = DistanceOracle::build(net);
+  const std::string bytes = saved_bytes(oracle, "oracle_payload.bin");
+  const std::size_t payload = 72 + 8 * oracle.histogram().size();
+  ASSERT_EQ(bytes.size(), payload + 8 * ((net.num_nodes() + 31) / 32));
+
+  const std::string path = ::testing::TempDir() + "oracle_payload.bin";
+  for (std::size_t i = payload; i < bytes.size(); ++i) {
+    std::string bad = bytes;
+    bad[i] = static_cast<char>(bad[i] ^ (1 << (i % 8)));
+    std::ofstream(path, std::ios::binary)
+        .write(bad.data(), static_cast<std::streamsize>(bad.size()));
+    EXPECT_THROW(DistanceOracle::load(path, net), std::runtime_error)
+        << "byte " << i - payload << " bit " << i % 8;
+  }
+  std::ofstream(path, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_NO_THROW(DistanceOracle::load(path, net));
+  std::remove(path.c_str());
+}
+
+TEST(Oracle, ParallelBuildMatchesSerialAndBfs) {
+  // 362,880 states: enough bitmap words for ThreadPool(4) to split every
+  // level into chunks, and a histogram tail where the build pulls.  MR(2,4)
+  // is directed, so its pull levels read the forward view while push reads
+  // the reverse one.
+  ThreadPool four(4);
+  ThreadPool one(1);
+  for (const NetworkSpec& net :
+       {make_macro_star(2, 4), make_macro_rotator(2, 4)}) {
+    const DistanceOracle par = DistanceOracle::build(net, &four);
+    const DistanceOracle ser = DistanceOracle::build(net, &one);
+    EXPECT_EQ(saved_bytes(par, "oracle_par.bin"),
+              saved_bytes(ser, "oracle_ser.bin"))
+        << net.name;
+
+    // Some level has fewer unvisited states than frontier states.
+    const Hist& h = par.histogram();
+    std::uint64_t seen = h[0];
+    bool pulls = false;
+    for (std::size_t d = 1; d < h.size(); ++d) {
+      pulls = pulls || net.num_nodes() - seen < h[d - 1];
+      seen += h[d];
+    }
+    EXPECT_TRUE(pulls) << net.name;
+
+    const std::vector<std::uint16_t> dist =
+        bfs_distances(NetworkView::reverse_of(net),
+                      Permutation::identity(net.k()).rank());
+    for (std::uint64_t r = 0; r < net.num_nodes(); ++r) {
+      ASSERT_EQ(par.residue(r), dist[r] % 3) << net.name << " rank " << r;
+    }
+  }
 }
 
 TEST(Oracle, RejectsOutOfRangeRanks) {
