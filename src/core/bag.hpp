@@ -8,7 +8,6 @@
 // network (Section 3).
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -129,10 +128,8 @@ std::vector<Generator> solve_transposition_game_greedy_designation(
 // entirely (the solver state itself lives in fixed-size stack arrays).
 // `scratch` holds the offset-search candidate word (the rotation styles try
 // every cyclic color designation and keep the shortest play).  Words are
-// identical to the allocating entry points above.  Returns the word length.
-//
-// The `count_*` functions walk the same plays without materialising any
-// word at all — the counting kernel behind route_length().
+// identical to the allocating entry points above.  Returns the word length,
+// which is also every hop count the routers report (route_length()).
 // ---------------------------------------------------------------------------
 
 int solve_transposition_game_into(const Permutation& start, int l, int n,
@@ -151,26 +148,6 @@ int solve_transposition_game_custom_rotations_into(
 int solve_insertion_game_custom_rotations_into(
     const Permutation& start, int l, int n, const std::vector<int>& rotations,
     std::vector<Generator>& out, std::vector<Generator>& scratch);
-
-int count_transposition_game(const Permutation& start, int l, int n,
-                             BoxMoveStyle style);
-int count_insertion_game(const Permutation& start, int l, int n,
-                         BoxMoveStyle style);
-int count_one_box_insertion(const Permutation& start);
-int count_transposition_game_custom_rotations(const Permutation& start, int l,
-                                              int n,
-                                              const std::vector<int>& rotations);
-int count_insertion_game_custom_rotations(const Permutation& start, int l,
-                                          int n,
-                                          const std::vector<int>& rotations);
-
-/// Counting kernel for the recursive macro-star router: the play is selected
-/// by raw move count (exactly like the word-producing solver), but each
-/// emitted transposition T_i contributes `t_weight[i]` to the returned total
-/// (its inner-network expansion length) while every other move contributes 1.
-int count_transposition_game_weighted(const Permutation& start, int l, int n,
-                                      BoxMoveStyle style,
-                                      std::span<const int> t_weight);
 
 /// Shortest word over an allowed rotation set A ⊆ {1..l-1} realising each
 /// cyclic shift s of l boxes: result[s] lists the rotation amounts to apply

@@ -26,7 +26,12 @@ int route_length(const NetworkSpec& net, const Permutation& from,
   if (from.size() != net.k() || to.size() != net.k()) {
     throw std::invalid_argument("route_length: permutation size != k");
   }
-  return route_word_count(net, from.relabel_symbols(to.inverse()));
+  // The hop count is the size of the word route() would return; the word
+  // and the offset-search scratch are reused across calls on this thread.
+  thread_local std::vector<Generator> word;
+  thread_local std::vector<Generator> scratch;
+  return route_word_into(net, from.relabel_symbols(to.inverse()), word,
+                         scratch);
 }
 
 GameTrace route_trace(const NetworkSpec& net, const Permutation& from,
