@@ -3,13 +3,17 @@
 // general JSON library — just enough structure for bench/baseline_*.json.
 //
 // finish() stamps a "meta" object (compiler, flags, detected kernel
-// dispatch tier) into every document, so cross-machine baseline diffs are
-// diagnosable instead of silently noisy.  compare_bench.py skips non-array
-// sections, so the stamp never participates in row matching.
+// dispatch tier, usable CPUs and CPU model) into every document, so
+// cross-machine baseline diffs are diagnosable instead of silently noisy.
+// compare_bench.py skips non-array sections in row matching, and prints a
+// note when the two documents' host stamps differ.
 #pragma once
+
+#include <sched.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "core/perm_kernels.hpp"
@@ -65,9 +69,31 @@ inline std::string kv(const char* k, const std::string& v) {
   return "\"" + std::string(k) + "\": \"" + v + "\"";
 }
 
+/// CPUs this process may run on (its affinity mask), at least 1.
+inline std::uint64_t host_nproc() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return 1;
+  return static_cast<std::uint64_t>(CPU_COUNT(&set) > 0 ? CPU_COUNT(&set) : 1);
+}
+
+/// The first "model name" line of /proc/cpuinfo, or "unknown".
+inline std::string host_cpu_model() {
+  std::ifstream f("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t c = line.find(':');
+      return c == std::string::npos ? line : line.substr(c + 2);
+    }
+  }
+  return "unknown";
+}
+
 /// The provenance stamp: compiler banner, the flags the bench CMake target
-/// was built with (SCG_CXX_FLAGS compile definition, empty if absent), and
-/// the kernel dispatch tier selected on this CPU at startup.
+/// was built with (SCG_CXX_FLAGS compile definition, empty if absent), the
+/// kernel dispatch tier selected on this CPU at startup, and the host shape
+/// (usable CPUs, CPU model) that rate rows depend on.
 inline std::string meta_fields() {
 #ifdef SCG_CXX_FLAGS
   const char* flags = SCG_CXX_FLAGS;
@@ -78,6 +104,8 @@ inline std::string meta_fields() {
   s += ", " + kv("flags", std::string(flags));
   s += ", " + kv("kernel_tier",
                  std::string(scg::kernel_tier_name(scg::active_kernel_tier())));
+  s += ", " + kv("nproc", host_nproc());
+  s += ", " + kv("cpu_model", host_cpu_model());
   return s;
 }
 

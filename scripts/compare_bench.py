@@ -23,6 +23,10 @@ Rows present only in the fresh file are ignored (new benches may land
 before their baseline is regenerated); rows present only in the baseline
 fail, since silently dropping a measurement is how regressions hide.
 
+Rate rows depend on the host.  When the two files' "meta" host stamps
+(nproc, cpu_model) differ, or either file lacks one, one note line says so;
+the comparison still runs and its verdict is unchanged.
+
 Exits 0 when everything passes, 1 with a per-row report otherwise.
 """
 
@@ -111,6 +115,31 @@ def structure_error(label, path, data):
     return None
 
 
+HOST_FIELDS = ("nproc", "cpu_model")
+
+
+def host_note(baseline, fresh):
+    """One note line when the host stamps differ or are missing, else None."""
+    stamps = []
+    for data in (baseline, fresh):
+        meta = data.get("meta")
+        meta = meta if isinstance(meta, dict) else {}
+        stamps.append(tuple(meta.get(f) for f in HOST_FIELDS))
+    missing = [label for label, stamp in zip(("baseline", "fresh"), stamps)
+               if None in stamp]
+    if missing:
+        return (f"compare_bench: note: host stamp (nproc, cpu_model) missing "
+                f"from {' and '.join(missing)}; rate rows may compare "
+                f"different hosts")
+    if stamps[0] != stamps[1]:
+        def fmt(stamp):
+            return ", ".join(f"{f}={v}" for f, v in zip(HOST_FIELDS, stamp))
+        return (f"compare_bench: note: hosts differ (baseline {fmt(stamps[0])}"
+                f"; fresh {fmt(stamps[1])}); rate rows compare different "
+                f"hosts")
+    return None
+
+
 def row_key(row):
     return tuple((f, row[f]) for f in IDENTITY_FIELDS if f in row)
 
@@ -193,6 +222,9 @@ def main():
         else:
             fresh = data
 
+    note = host_note(baseline, fresh)
+    if note is not None:
+        print(note)
     failures = compare(baseline, fresh, args.tolerance)
     if failures:
         print(f"compare_bench: {len(failures)} regression(s) vs "

@@ -138,6 +138,38 @@ class CompareBenchTest(unittest.TestCase):
         rc, out = run(GOOD, GOOD)
         self.assertEqual(rc, 0, out)
 
+    def test_host_stamp_note(self):
+        # One note line when the host stamps differ or are missing; the
+        # verdict itself is unchanged either way.
+        host_a = {"nproc": 4, "cpu_model": "Xeon A"}
+        host_b = {"nproc": 16, "cpu_model": "Xeon A"}
+
+        def stamped(host, rps=100.0):
+            data = json.loads(json.dumps(GOOD))
+            data["meta"].update(host)
+            data["engine"][0]["route_rps"] = rps
+            return data
+
+        rc, out = run(stamped(host_a), stamped(host_a))
+        self.assertEqual(rc, 0, out)
+        self.assertNotIn("note:", out)
+
+        rc, out = run(stamped(host_a), stamped(host_b))
+        self.assertEqual(rc, 0, out)
+        self.assertEqual(out.count("note:"), 1, out)
+        self.assertIn("hosts differ", out)
+        self.assertIn("nproc=16", out)
+
+        rc, out = run(GOOD, stamped(host_a))
+        self.assertEqual(rc, 0, out)
+        self.assertEqual(out.count("note:"), 1, out)
+        self.assertIn("missing from baseline", out)
+
+        rc, out = run(stamped(host_a), stamped(host_b, rps=1.0))
+        self.assertEqual(rc, 1, out)
+        self.assertIn("hosts differ", out)
+        self.assertIn("route_rps", out)
+
 
 if __name__ == "__main__":
     unittest.main()
