@@ -264,6 +264,33 @@ TEST(NodeDisjointPaths, SurviveAnyDegreeMinusOneLinkCut) {
   }
 }
 
+TEST(NodeDisjointPaths, GoldenAcrossFamilies) {
+  // FNV-1a over every ordered pair's backup paths, in the order returned:
+  // per path its size, then its ranks.  The bench_fault and bench_chaos
+  // rows route over these paths, so the max-flow behind them (including
+  // its arc order) must not drift.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const NetworkSpec& net :
+       {make_macro_star(2, 2), make_complete_rotation_star(2, 2),
+        make_star_graph(5)}) {
+    for (std::uint64_t s = 0; s < net.num_nodes(); ++s) {
+      for (std::uint64_t t = 0; t < net.num_nodes(); ++t) {
+        for (const auto& p : node_disjoint_paths(net, s, t)) {
+          mix(p.size());
+          for (const std::uint64_t u : p) mix(u);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, 0xcf9edc35f55ea3e5ULL);
+}
+
 TEST(WordFromPath, ThrowsOnNonAdjacentHop) {
   const NetworkSpec net = make_macro_star(2, 2);
   const NetworkView view = NetworkView::of(net);
