@@ -114,9 +114,7 @@ std::uint64_t transient_convergence_section(Json& json) {
     const auto policy = scg::make_route_policy("fault", net);
 
     scg::EventSimConfig ec;
-    ec.fault_mode = true;
     ec.offchip_cycles_per_flit = 2;
-    ec.timeout_cycles = 4;
     ec.max_retransmits = 32;  // generous: every outage is survivable
 
     scg::ChaosScriptConfig script;
@@ -190,10 +188,7 @@ std::uint64_t adaptive_section(Json& json) {
   const auto schedule = scg::make_fault_schedule(g, script);
 
   scg::EventSimConfig ec;
-  ec.fault_mode = true;
   ec.offchip_cycles_per_flit = 2;
-  ec.timeout_cycles = 4;
-  ec.max_retransmits = 8;
   ec.route_chunk = 32;  // small chunks: feedback lands between batches
 
   for (const bool adaptive : {false, true}) {

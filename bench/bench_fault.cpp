@@ -199,19 +199,18 @@ void mcmp_degradation_section(Json& json) {
 
   const auto all_links = links_of(g);
   for (const int kills : {0, 2, 8, 24}) {
-    std::vector<scg::LinkFault> schedule;
+    std::vector<scg::FaultEvent> schedule;
     std::mt19937_64 krng(53);
     std::uniform_int_distribution<std::size_t> pick_link(0, all_links.size() - 1);
     for (int i = 0; i < kills; ++i) {  // staggered kills while traffic flows
       const auto [u, v] = all_links[pick_link(krng)];
       schedule.push_back(
-          scg::LinkFault{static_cast<std::uint64_t>(4 * i), u, v});
+          scg::FaultEvent::link_fail(static_cast<std::uint64_t>(4 * i), u, v));
     }
     scg::EventSimConfig cfg;
     cfg.offchip_cycles_per_flit = 2;
-    cfg.fault_mode = true;
     const scg::EventSimResult r =
-        scg::simulate_events(g, offchip, pkts, cfg, schedule, &reroute);
+        scg::simulate_chaos(g, offchip, pkts, cfg, schedule, &reroute);
     std::printf("kills=%-3d delivered=%.4f retx=%-5llu timeouts=%-5llu "
                 "p50=%-4llu p99=%-4llu stretch=%.3f completion=%llu\n",
                 kills, r.delivered_fraction,

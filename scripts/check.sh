@@ -6,8 +6,8 @@
 #   3. standalone UBSan build of the kernel-heavy suites (permutation,
 #      SIMD perm kernels, route engine, oracle), run directly;
 #   4. TSan build of the concurrency-heavy suites (ThreadPool, event-core
-#      lazy routing, chaos campaign, serving layer, oracle build), run
-#      directly;
+#      lazy routing, chaos campaign, serving layer, oracle build, concurrent
+#      fault routing), run directly;
 #   5. static analysis, when the tools are installed: a clang build with
 #      -Werror=thread-safety (plus the negative-compilation tests proving
 #      the annotations bite), the clang-tidy gate, and shellcheck over
@@ -137,10 +137,10 @@ python3 scripts/compare_bench.py bench/baseline_chaos.json \
 rm -rf "$chaos_dir"
 
 gate "fault bench: MCMP degradation under mid-run link kills"
-# bench_fault drives the event core's fault mode (timeouts, re-routes,
-# retransmissions) over a fixed traffic set and kill schedule; the JSON gate
-# pins packets / timeouts / retransmissions / completion cycles per row to
-# the committed baseline exactly.
+# bench_fault drives the event core through simulate_chaos (timeouts,
+# re-routes, retransmissions) over a fixed traffic set and kill schedule;
+# the JSON gate pins packets / timeouts / retransmissions / completion
+# cycles per row to the committed baseline exactly.
 fault_dir="$(mktemp -d /tmp/scg-fault.XXXXXX)"
 mkdir -p "$fault_dir/bench"
 (cd "$fault_dir" && "$repo_root/build/bench/bench_fault" bench/baseline_fault.json)
@@ -181,9 +181,9 @@ cmake --build --preset ubsan -j"$(nproc)"
 
 gate "sanitizers: tsan build, concurrency suites"
 # ThreadPool, the event core's lazy routing, the chaos campaign, the
-# serving layer and the oracle build (pull levels read table words other
-# chunks are writing) are the threaded / observer-callback-heavy surfaces;
-# run their suites under TSan.
+# serving layer, the oracle build (pull levels read table words other
+# chunks are writing) and FaultRouter::route from several threads are the
+# threaded / observer-callback-heavy surfaces; run their suites under TSan.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ./build-tsan/tests/parallel_test
@@ -191,6 +191,10 @@ cmake --build --preset tsan -j"$(nproc)"
 ./build-tsan/tests/chaos_test
 ./build-tsan/tests/serve_test
 ./build-tsan/tests/oracle_test
+# The single-threaded backup-path golden sweep takes ~45 s under TSan and
+# runs in the default ctest pass anyway.
+./build-tsan/tests/fault_router_test \
+  --gtest_filter=-NodeDisjointPaths.GoldenAcrossFamilies
 
 gate "static analysis: clang thread-safety build"
 if command -v clang++ >/dev/null 2>&1; then

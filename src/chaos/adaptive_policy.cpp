@@ -7,6 +7,16 @@
 namespace scg {
 namespace {
 
+constexpr double kEwmaAlpha = 0.3;         // weight of the newest sample
+constexpr double kQuarantineFactor = 3.0;  // quarantine when ewma > 3x baseline
+// One timeout is scored as this many multiples of the channel baseline (a
+// dead hop is worse than any slow one; 8x trips a 3x factor from a healthy
+// EWMA in a single observation).
+constexpr double kTimeoutPenalty = 8.0;
+constexpr std::uint64_t kQuarantineCycles = 1024;  // probation before re-admission
+static_assert(kEwmaAlpha > 0.0 && kEwmaAlpha <= 1.0);
+static_assert(kQuarantineFactor > 1.0, "nominal health must not quarantine");
+
 std::vector<std::uint32_t> narrow_path(const std::vector<std::uint64_t>& path) {
   std::vector<std::uint32_t> out;
   out.reserve(path.size());
@@ -17,18 +27,6 @@ std::vector<std::uint32_t> narrow_path(const std::vector<std::uint64_t>& path) {
 }
 
 }  // namespace
-
-AdaptiveFaultPolicy::AdaptiveFaultPolicy(const NetworkSpec& net,
-                                         AdaptivePolicyConfig cfg)
-    : router_(net, cfg.router), cfg_(cfg) {
-  if (cfg_.ewma_alpha <= 0.0 || cfg_.ewma_alpha > 1.0) {
-    throw std::invalid_argument("adaptive policy: ewma_alpha must be in (0,1]");
-  }
-  if (cfg_.quarantine_factor <= 1.0) {
-    throw std::invalid_argument(
-        "adaptive policy: quarantine_factor must exceed 1 (nominal health)");
-  }
-}
 
 void AdaptiveFaultPolicy::route_path(std::uint64_t src, std::uint64_t dst,
                                      std::vector<std::uint32_t>& out) {
@@ -60,7 +58,7 @@ void AdaptiveFaultPolicy::on_timeout(std::uint64_t time, std::uint32_t packet,
   (void)packet;
   ChannelHealth& h = health_[chan(u, v)];
   const double base = h.samples > 0 ? h.baseline : 1.0;
-  observe(time, u, v, cfg_.timeout_penalty * base);
+  observe(time, u, v, kTimeoutPenalty * base);
 }
 
 void AdaptiveFaultPolicy::observe(std::uint64_t time, std::uint64_t u,
@@ -72,18 +70,18 @@ void AdaptiveFaultPolicy::observe(std::uint64_t time, std::uint64_t u,
     h.ewma = sample;
   } else {
     h.baseline = std::min(h.baseline, sample);
-    h.ewma = cfg_.ewma_alpha * sample + (1.0 - cfg_.ewma_alpha) * h.ewma;
+    h.ewma = kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * h.ewma;
   }
   ++h.samples;
-  if (!h.quarantined && h.ewma > cfg_.quarantine_factor * h.baseline) {
+  if (!h.quarantined && h.ewma > kQuarantineFactor * h.baseline) {
     h.quarantined = true;
-    h.quarantined_until = time + cfg_.quarantine_cycles;
+    h.quarantined_until = time + kQuarantineCycles;
     quarantine_.fail_link(u, v);
     ++quarantine_events_;
   } else if (h.quarantined) {
     // Fresh evidence while quarantined (a packet was already committed to
     // the channel) extends probation from the newest observation.
-    h.quarantined_until = time + cfg_.quarantine_cycles;
+    h.quarantined_until = time + kQuarantineCycles;
   }
 }
 

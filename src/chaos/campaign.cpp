@@ -67,14 +67,9 @@ CampaignResult run_campaign(const std::vector<NetworkSpec>& families,
   CampaignResult out;
 
   EventSimConfig ec;
-  ec.flits_per_packet = 1;
-  ec.onchip_cycles_per_flit = cfg.onchip_cycles;
-  ec.offchip_cycles_per_flit = cfg.offchip_cycles;
-  ec.fault_mode = true;
-  ec.timeout_cycles = cfg.timeout_cycles;
-  ec.max_retransmits = cfg.max_retransmits;
-  ec.max_cycles = cfg.max_cycles;
-  ec.route_chunk = cfg.route_chunk;
+  ec.offchip_cycles_per_flit = 2;
+  ec.max_cycles = std::uint64_t{1} << 20;
+  ec.route_chunk = 256;
 
   const bool adaptive = cfg.policy == "adaptive";
   for (std::size_t fi = 0; fi < families.size(); ++fi) {
@@ -94,7 +89,7 @@ CampaignResult run_campaign(const std::vector<NetworkSpec>& families,
       cell.rate = rate;
       cell.count = fault_count_for(kind, rate, g.num_nodes(), channels);
 
-      ChaosScriptConfig script = cfg.script;
+      ChaosScriptConfig script;
       script.kind = kind;
       script.count = cell.count;
       script.seed = cell_seed(cfg.seed, fi, ki, ri);

@@ -1,8 +1,10 @@
 // CampaignRunner — invariant-checked degradation sweeps.  For each network
 // family the runner sweeps a fault-rate x fault-kind grid: every cell
 // compiles a seeded chaos script (fault_schedule.hpp), drives the unified
-// event core through simulate_chaos with a complete rerouter, records the
-// full observer trace, and audits the run with check_sim_invariants.  The
+// event core through simulate_chaos with a complete rerouter (off-chip hops
+// cost 2 cycles, the watchdog trips at 2^20, lazy routing runs in chunks of
+// 256 so adaptive feedback lands between batches), records the full
+// observer trace, and audits the run with check_sim_invariants.  The
 // output is a degradation surface — delivered fraction, latency, stretch
 // and retransmissions as functions of fault rate per kind — in which every
 // point is certified: zero invariant violations or the cell says so.
@@ -40,17 +42,6 @@ struct CampaignConfig {
   std::string policy = "fault";  ///< "fault", "adaptive", or any registry name
   int packets_per_node = 4;      ///< uniform random traffic density
   std::uint64_t seed = 7;        ///< traffic + script seed root
-
-  int onchip_cycles = 1;
-  int offchip_cycles = 2;
-  int timeout_cycles = 4;
-  int max_retransmits = 8;
-  std::uint64_t max_cycles = std::uint64_t{1} << 20;  ///< watchdog horizon
-  std::size_t route_chunk = 256;  ///< small chunks: adaptive feedback lands
-                                  ///< between lazy routing batches
-
-  /// Script shape knobs (kind, count and seed are overwritten per cell).
-  ChaosScriptConfig script;
 };
 
 struct CampaignCell {

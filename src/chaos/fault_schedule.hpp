@@ -2,8 +2,8 @@
 // (a std::vector<FaultEvent>) from a small declarative config, covering the
 // repo's whole fault taxonomy:
 //
-//  * kPermanent  — classic link kills that never heal (the LinkFault
-//                  model, staggered over time);
+//  * kPermanent  — classic link kills that never heal (kLinkFail events
+//                  only, staggered over time);
 //  * kTransient  — each sampled channel fails and repairs after a fixed
 //                  outage window;
 //  * kFlapping   — intermittent channels cycling fail/repair with a duty

@@ -1,5 +1,5 @@
 // Post-sim invariant checking for chaos runs.  A SimTraceRecorder captures
-// the full observer stream of a fault-mode run (every hop with its check
+// the full observer stream of a simulate_chaos run (every hop with its check
 // time and charged occupancy, every timeout, every terminal event); the
 // checker then replays the chaos schedule against the trace and audits:
 //

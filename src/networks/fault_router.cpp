@@ -3,13 +3,19 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <queue>
 #include <span>
 #include <stdexcept>
 #include <unordered_set>
 
+#include "topology/unit_flow.hpp"
+
 namespace scg {
 namespace {
+
+constexpr int kRepairBudget = 8;       // blocked hops repaired before escalating
+constexpr std::size_t kHopFactor = 4;  // walk at most 4*(primary+k)+16 hops
+constexpr std::uint64_t kBackupNodeLimit = 40000;  // stage-3 max N
+constexpr std::uint64_t kBfsNodeLimit = std::uint64_t{1} << 24;  // stage-4 max N
 
 /// Generator index joining u -> v in `view`, or -1.  On multigraphs the
 /// lowest-index generator wins (deterministic words).
@@ -31,83 +37,27 @@ RouteOutcome unreachable(std::string reason, RouteOutcome out) {
 }  // namespace
 
 std::vector<std::vector<std::uint64_t>> node_disjoint_paths(
-    const NetworkSpec& net, std::uint64_t s, std::uint64_t t,
-    std::uint64_t max_nodes) {
-  const std::uint64_t n = net.num_nodes();
-  if (n > max_nodes) {
+    const NetworkSpec& net, std::uint64_t s, std::uint64_t t) {
+  if (net.num_nodes() > kBackupNodeLimit) {
     throw std::invalid_argument(
-        "node_disjoint_paths: network exceeds max_nodes");
+        "node_disjoint_paths: network exceeds 40000 nodes");
   }
   if (s == t) return {};
-  const NetworkView view = NetworkView::of(net);
-
-  // Node-splitting unit-capacity max-flow: u_in = 2u, u_out = 2u+1; the
-  // splitting arc carries capacity 1 (unbounded for the terminals), every
-  // graph arc u->v becomes u_out -> v_in with capacity 1.  The max flow
-  // s_out -> t_in is the number of internally node-disjoint s-t paths
-  // (degree for these maximally connected Cayley graphs).
-  struct Arc {
-    std::uint32_t to;
-    std::uint32_t rev;
-    std::uint8_t cap;
-    bool fwd;  // true for original arcs, false for residual reverses
-  };
-  std::vector<std::vector<Arc>> adj(2 * n);
-  auto add_arc = [&](std::uint64_t a, std::uint64_t b, std::uint8_t cap) {
-    adj[a].push_back(Arc{static_cast<std::uint32_t>(b),
-                         static_cast<std::uint32_t>(adj[b].size()), cap, true});
-    adj[b].push_back(Arc{static_cast<std::uint32_t>(a),
-                         static_cast<std::uint32_t>(adj[a].size() - 1), 0,
-                         false});
-  };
-  {
-    std::array<std::uint64_t, kMaxCompiledDegree> buf;
-    for (std::uint64_t u = 0; u < n; ++u) {
-      add_arc(2 * u, 2 * u + 1, (u == s || u == t) ? 255 : 1);
-      const int d = view.expand_neighbors(u, buf.data());
-      for (int j = 0; j < d; ++j) {
-        add_arc(2 * u + 1, 2 * buf[j], 1);
-      }
-    }
-  }
-  const std::uint64_t src = 2 * s + 1;
-  const std::uint64_t dst = 2 * t;
-  for (;;) {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> parent(
-        2 * n, {UINT32_MAX, UINT32_MAX});
-    std::queue<std::uint64_t> q;
-    q.push(src);
-    parent[src] = {static_cast<std::uint32_t>(src), UINT32_MAX};
-    while (!q.empty() && parent[dst].first == UINT32_MAX) {
-      const std::uint64_t u = q.front();
-      q.pop();
-      for (std::uint32_t i = 0; i < adj[u].size(); ++i) {
-        const Arc& a = adj[u][i];
-        if (a.cap == 0 || parent[a.to].first != UINT32_MAX) continue;
-        parent[a.to] = {static_cast<std::uint32_t>(u), i};
-        q.push(a.to);
-      }
-    }
-    if (parent[dst].first == UINT32_MAX) break;
-    std::uint64_t v = dst;
-    while (v != src) {
-      const auto [u, ai] = parent[v];
-      Arc& a = adj[u][ai];
-      --a.cap;
-      ++adj[v][a.rev].cap;
-      v = u;
-    }
-  }
+  // The max flow s_out -> t_in of the node-split network is the number of
+  // internally node-disjoint s-t paths (degree for these maximally
+  // connected Cayley graphs).
+  UnitFlow flow = node_split_flow(NetworkView::of(net), s, t);
+  flow.run(2 * s + 1, 2 * t);
 
   // Decompose: a graph arc u_out -> v_in (fwd, even target) carries flow iff
   // its residual capacity dropped to 0.  Interior nodes pass at most one
   // unit, so following saturated arcs (consuming them) from s traces each
   // path.
-  const auto carries_flow = [](const Arc& a) {
+  const auto carries_flow = [](const UnitFlow::Arc& a) {
     return a.fwd && a.cap == 0 && (a.to & 1) == 0;
   };
   std::vector<std::vector<std::uint64_t>> paths;
-  for (Arc& first : adj[src]) {
+  for (UnitFlow::Arc& first : flow.arcs(2 * s + 1)) {
     if (!carries_flow(first)) continue;
     first.cap = 1;  // consume
     std::vector<std::uint64_t> path{s};
@@ -115,7 +65,7 @@ std::vector<std::vector<std::uint64_t>> node_disjoint_paths(
     while (at != t) {
       path.push_back(at);
       bool advanced = false;
-      for (Arc& a : adj[2 * at + 1]) {
+      for (UnitFlow::Arc& a : flow.arcs(2 * at + 1)) {
         if (!carries_flow(a)) continue;
         a.cap = 1;
         at = a.to / 2;
@@ -150,8 +100,8 @@ std::vector<Generator> word_from_path(const NetworkSpec& net,
   return word;
 }
 
-FaultRouter::FaultRouter(const NetworkSpec& net, FaultRouterConfig cfg)
-    : net_(&net), view_(NetworkView::of(net)), engine_(net), cfg_(cfg) {}
+FaultRouter::FaultRouter(const NetworkSpec& net)
+    : net_(&net), view_(NetworkView::of(net)), engine_(net) {}
 
 const std::vector<std::vector<std::uint64_t>>& FaultRouter::backups(
     std::uint64_t s, std::uint64_t t) const {
@@ -159,8 +109,8 @@ const std::vector<std::vector<std::uint64_t>>& FaultRouter::backups(
   auto it = backup_cache_.find({s, t});
   if (it != backup_cache_.end()) return it->second;
   std::vector<std::vector<std::uint64_t>> paths;
-  if (net_->num_nodes() <= cfg_.backup_node_limit) {
-    paths = node_disjoint_paths(*net_, s, t, cfg_.backup_node_limit);
+  if (net_->num_nodes() <= kBackupNodeLimit) {
+    paths = node_disjoint_paths(*net_, s, t);
   }
   return backup_cache_.emplace(std::make_pair(s, t), std::move(paths))
       .first->second;
@@ -198,8 +148,7 @@ RouteOutcome FaultRouter::route(const Permutation& from, const Permutation& to,
   RouteBuffer& rb = engine_.scratch();
   std::span<const Generator> pending = engine_.route_into(from, to, rb);
   const std::size_t hop_budget =
-      static_cast<std::size_t>(cfg_.hop_budget_factor) *
-          (pending.size() + static_cast<std::size_t>(net_->k())) +
+      kHopFactor * (pending.size() + static_cast<std::size_t>(net_->k())) +
       16;
   std::size_t pi = 0;
   bool exhausted = false;
@@ -229,7 +178,7 @@ RouteOutcome FaultRouter::route(const Permutation& from, const Permutation& to,
     // Blocked hop: deroute through the surviving generator whose re-routed
     // remainder is shortest, never re-entering a node already on the path
     // (the BFS fallback keeps completeness when that exclusion over-prunes).
-    if (++out.repairs > cfg_.repair_budget) break;
+    if (++out.repairs > kRepairBudget) break;
     const int d = view_.expand_neighbors(cur_rank, buf.data());
     int best_gi = -1;
     int best_len = std::numeric_limits<int>::max();
@@ -259,7 +208,7 @@ RouteOutcome FaultRouter::route(const Permutation& from, const Permutation& to,
   // Stage 3: precomputed node-disjoint backup routes, whole-path from the
   // source.  With <= degree-1 failed links at least one of the degree-many
   // disjoint paths is untouched.
-  if (cfg_.use_disjoint_backups && net_->num_nodes() <= cfg_.backup_node_limit) {
+  if (net_->num_nodes() <= kBackupNodeLimit) {
     for (const std::vector<std::uint64_t>& p : backups(s, t)) {
       bool alive = true;
       for (std::size_t i = 0; alive && i + 1 < p.size(); ++i) {
@@ -285,7 +234,7 @@ RouteOutcome FaultRouter::bfs_fallback(std::uint64_t cur, std::uint64_t t,
                                        const FaultSet& faults,
                                        RouteOutcome walked) const {
   const std::uint64_t n = net_->num_nodes();
-  if (n > cfg_.bfs_node_limit || n > UINT32_MAX) {
+  if (n > kBfsNodeLimit) {
     return unreachable("network exceeds the fallback BFS size limit",
                        std::move(walked));
   }

@@ -7,12 +7,14 @@
 //  2. on a blocked hop, bounded local repair: deroute through the surviving
 //     generator whose re-routed remainder is shortest (never re-entering a
 //     node already on the path), re-solve the game from there, and retry —
-//     up to `repair_budget` blocked hops;
+//     up to 8 blocked hops, walking at most 4*(primary+k)+16 hops;
 //  3. precomputed backup routes: the degree-many internally node-disjoint
 //     s-t paths the paper's maximal fault tolerance promises (constructed by
 //     node-splitting max-flow, cached per pair) — with <= degree-1 link
-//     faults at least one always survives;
-//  4. complete fallback: parent-tracking BFS over the fault-filtered view.
+//     faults at least one always survives; networks above 40000 nodes skip
+//     this stage;
+//  4. complete fallback: parent-tracking BFS over the fault-filtered view
+//     (networks up to 2^24 nodes).
 //
 // Every delivered outcome carries a generator word that replays from `from`
 // to `to` through surviving links only (check_route-clean).
@@ -50,22 +52,13 @@ struct RouteOutcome {
   int hops() const { return static_cast<int>(word.size()); }
 };
 
-struct FaultRouterConfig {
-  int repair_budget = 8;       ///< blocked hops tolerated before escalating
-  int hop_budget_factor = 4;   ///< walk at most factor*(primary+k)+16 hops
-  bool use_disjoint_backups = true;  ///< stage 3 (skipped over the limit)
-  std::uint64_t backup_node_limit = 40000;   ///< max N for max-flow backups
-  std::uint64_t bfs_node_limit = std::uint64_t{1} << 24;  ///< stage-4 cap
-};
-
 /// Degree-many internally node-disjoint s-t paths, via node-splitting
 /// unit-capacity max-flow over the compiled view (the operational face of
 /// vertex connectivity == degree).  Each path is a node-rank sequence
-/// s..t.  Throws when the network exceeds `max_nodes` (the flow network is
-/// explicit).
+/// s..t; none when s == t.  Throws when the network exceeds 40000 nodes
+/// (the flow network is explicit).
 std::vector<std::vector<std::uint64_t>> node_disjoint_paths(
-    const NetworkSpec& net, std::uint64_t s, std::uint64_t t,
-    std::uint64_t max_nodes = 40000);
+    const NetworkSpec& net, std::uint64_t s, std::uint64_t t);
 
 /// Converts a node-rank path into the generator word realizing it.  Throws
 /// if consecutive ranks are not joined by a generator of `net`.
@@ -73,10 +66,11 @@ std::vector<Generator> word_from_path(const NetworkSpec& net,
                                       const std::vector<std::uint64_t>& path);
 
 /// The fault-aware router.  Borrows `net`; it must outlive the router.
-/// Thread-safe for concurrent route() calls (the backup cache is locked).
+/// Thread-safe for concurrent route() calls: the backup cache is locked, and
+/// the engine's solve buffers are per thread.
 class FaultRouter {
  public:
-  explicit FaultRouter(const NetworkSpec& net, FaultRouterConfig cfg = {});
+  explicit FaultRouter(const NetworkSpec& net);
 
   RouteOutcome route(const Permutation& from, const Permutation& to,
                      const FaultSet& faults) const;
@@ -89,7 +83,6 @@ class FaultRouter {
                                                          std::uint64_t t) const;
 
   const NetworkSpec& spec() const { return *net_; }
-  const FaultRouterConfig& config() const { return cfg_; }
 
   /// The shared zero-allocation engine behind primary routes and repair
   /// probes (its relative-permutation cache persists across route() calls).
@@ -103,7 +96,6 @@ class FaultRouter {
   const NetworkSpec* net_;
   NetworkView view_;
   RouteEngine engine_;
-  FaultRouterConfig cfg_;
 
   struct PairHash {
     std::size_t operator()(

@@ -180,16 +180,11 @@ class BfsPolicy : public RoutePolicy {
   GraphRoutes routes_;
 };
 
-/// Fault-aware routing under a fixed FaultSet snapshot: game route verified
-/// hop by hop, local repair, disjoint backups, BFS fallback — the full
-/// FaultRouter escalation.  With an empty FaultSet this produces exactly
-/// the primary game routes (useful as the pristine path source for
-/// degradation experiments).  Throws std::runtime_error when the snapshot
-/// leaves dst unreachable.
+/// Routing through the FaultRouter with no faults: exactly the primary game
+/// routes, the pristine path source for degradation experiments.
 class FaultPolicy : public RoutePolicy {
  public:
-  explicit FaultPolicy(const NetworkSpec& net, FaultSet faults = {},
-                       FaultRouterConfig cfg = {});
+  explicit FaultPolicy(const NetworkSpec& net) : router_(net) {}
 
   std::string name() const override { return "fault"; }
   void route_path(std::uint64_t src, std::uint64_t dst,
@@ -199,12 +194,9 @@ class FaultPolicy : public RoutePolicy {
     return router_.engine().cache_stats();
   }
 
-  const FaultRouter& router() const { return router_; }
-  const FaultSet& faults() const { return faults_; }
-
  private:
   FaultRouter router_;
-  FaultSet faults_;
+  FaultSet none_;
 };
 
 // ---------------------------------------------------------------------------

@@ -58,6 +58,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Faulty runs: a dead hop is detected after kTimeoutCycles, and retry r
+// waits kBackoffBase << (r - 1) cycles, capped at kBackoffCap.
+constexpr std::uint64_t kTimeoutCycles = 4;
+constexpr std::uint64_t kBackoffBase = 2;
+constexpr std::uint64_t kBackoffCap = 1024;
+
 std::uint64_t ns_since(Clock::time_point t0) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
@@ -79,7 +85,7 @@ struct PacketState {
   std::uint32_t hop = 0;                ///< index into path: node packet is at
   int retransmits = 0;
   std::uint64_t hops_walked = 0;
-  std::vector<std::uint32_t> owned;     ///< repaired route (fault mode)
+  std::vector<std::uint32_t> owned;     ///< repaired route (faulty runs)
 };
 
 /// Chunked injection-order lazy routing through a RoutePolicy.  Arenas are
@@ -153,14 +159,13 @@ EventSimResult run_core(const Graph& g, const OffchipTable& offchip,
                         std::span<const SimPacket> packets,
                         std::span<const TrafficPair> pairs,
                         RoutePolicy* policy, const EventSimConfig& cfg,
-                        std::span<const FaultEvent> schedule,
+                        bool faulty, std::span<const FaultEvent> schedule,
                         const Rerouter* reroute, SimObserver* obs) {
   if (cfg.flits_per_packet < 1) throw std::invalid_argument("flits >= 1");
   if (offchip.num_arcs() != g.num_links()) {
     throw std::invalid_argument("offchip table does not cover the graph");
   }
   const bool lazy = policy != nullptr;
-  const bool faulty = cfg.fault_mode;
   const std::size_t n = lazy ? pairs.size() : packets.size();
   if (n > UINT32_MAX) throw std::invalid_argument("too many packets");
 
@@ -264,8 +269,8 @@ EventSimResult run_core(const Graph& g, const OffchipTable& offchip,
     return have_slow ? base * slow[arc] : base;
   };
 
-  // Fault-mode accounting keeps the full latency/stretch samples (sorted
-  // for percentiles later); the plain path accumulates only the sum.
+  // Faulty runs keep the full latency/stretch samples (sorted for
+  // percentiles later); the plain path accumulates only the sum.
   std::uint64_t latency_sum = 0;
   std::vector<std::uint64_t> latencies;
   std::vector<double> stretches;
@@ -343,13 +348,9 @@ EventSimResult run_core(const Graph& g, const OffchipTable& offchip,
       ps.path = ps.owned.data();
       ps.len = static_cast<std::uint32_t>(ps.owned.size());
       ps.hop = 0;
-      const std::uint64_t backoff = std::min<std::uint64_t>(
-          static_cast<std::uint64_t>(cfg.backoff_cap),
-          static_cast<std::uint64_t>(cfg.backoff_base)
-              << (ps.retransmits - 1));
-      push_ev(Event{ev.time + static_cast<std::uint64_t>(cfg.timeout_cycles) +
-                        backoff,
-                    ev.packet, 0});
+      const std::uint64_t backoff =
+          std::min(kBackoffCap, kBackoffBase << (ps.retransmits - 1));
+      push_ev(Event{ev.time + kTimeoutCycles + backoff, ev.packet, 0});
       continue;
     }
     const std::uint64_t arc = g.find_arc(u, v);
@@ -441,34 +442,20 @@ EventSimResult run_core(const Graph& g, const OffchipTable& offchip,
   return res;
 }
 
-/// LinkFault schedules are the kLinkFail-only slice of the taxonomy.
-std::vector<FaultEvent> as_chaos(std::span<const LinkFault> schedule) {
-  std::vector<FaultEvent> chaos;
-  chaos.reserve(schedule.size());
-  for (const LinkFault& f : schedule) {
-    chaos.push_back(FaultEvent::link_fail(f.time, f.u, f.v));
-  }
-  return chaos;
-}
-
 }  // namespace
 
 EventSimResult simulate_events(const Graph& g, const OffchipTable& offchip,
                                std::span<const SimPacket> packets,
-                               const EventSimConfig& cfg,
-                               std::span<const LinkFault> schedule,
-                               const Rerouter* reroute) {
-  return run_core(g, offchip, packets, {}, nullptr, cfg, as_chaos(schedule),
-                  reroute, nullptr);
+                               const EventSimConfig& cfg) {
+  return run_core(g, offchip, packets, {}, nullptr, cfg, false, {}, nullptr,
+                  nullptr);
 }
 
 EventSimResult simulate_events(const Graph& g, const OffchipTable& offchip,
                                std::span<const TrafficPair> pairs,
-                               RoutePolicy& policy, const EventSimConfig& cfg,
-                               std::span<const LinkFault> schedule,
-                               const Rerouter* reroute) {
-  return run_core(g, offchip, {}, pairs, &policy, cfg, as_chaos(schedule),
-                  reroute, nullptr);
+                               RoutePolicy& policy, const EventSimConfig& cfg) {
+  return run_core(g, offchip, {}, pairs, &policy, cfg, false, {}, nullptr,
+                  nullptr);
 }
 
 EventSimResult simulate_chaos(const Graph& g, const OffchipTable& offchip,
@@ -476,9 +463,7 @@ EventSimResult simulate_chaos(const Graph& g, const OffchipTable& offchip,
                               const EventSimConfig& cfg,
                               std::span<const FaultEvent> schedule,
                               const Rerouter* reroute, SimObserver* observer) {
-  EventSimConfig chaos_cfg = cfg;
-  chaos_cfg.fault_mode = true;
-  return run_core(g, offchip, packets, {}, nullptr, chaos_cfg, schedule,
+  return run_core(g, offchip, packets, {}, nullptr, cfg, true, schedule,
                   reroute, observer);
 }
 
@@ -487,9 +472,7 @@ EventSimResult simulate_chaos(const Graph& g, const OffchipTable& offchip,
                               RoutePolicy& policy, const EventSimConfig& cfg,
                               std::span<const FaultEvent> schedule,
                               const Rerouter* reroute, SimObserver* observer) {
-  EventSimConfig chaos_cfg = cfg;
-  chaos_cfg.fault_mode = true;
-  return run_core(g, offchip, {}, pairs, &policy, chaos_cfg, schedule, reroute,
+  return run_core(g, offchip, {}, pairs, &policy, cfg, true, schedule, reroute,
                   observer);
 }
 

@@ -4,16 +4,18 @@
 // Store-and-forward MCMP (Section 4.3: one-flit packets, pin-limited
 // off-chip links) is `flits_per_packet == 1`; virtual cut-through
 // (Section 4.2: multi-flit packets streaming across pipelined hops) is
-// `flits_per_packet > 1`.  Degradation under failure is the same loop with
-// `fault_mode` on: a fault schedule accumulates into a FaultSet, and blocked
-// hops time out, re-route through a pluggable Rerouter and retransmit with
-// exponential backoff.  The event ordering (a min-heap on time with
+// `flits_per_packet > 1`.  Degradation under failure is the same loop run
+// faulty: a fault schedule accumulates into a FaultSet, and a blocked hop
+// is detected after 4 cycles, re-routed through a pluggable Rerouter and
+// retransmitted after an exponential backoff (2 << attempt, capped at 1024
+// cycles).  The event ordering (a min-heap on time with
 // implementation-stable tie handling), the FIFO link-occupancy rule and
 // every accumulation order match the seed's standalone loops bit for bit.
 //
-// Two entry points: simulate_events takes a schedule of permanent link
-// kills (LinkFault), simulate_chaos the full fault taxonomy (FaultEvent)
-// plus an optional SimObserver.  Each accepts traffic in two shapes:
+// Two entry points: simulate_events runs fault-free, simulate_chaos runs
+// the full fault taxonomy (FaultEvent; a permanent link kill is
+// FaultEvent::link_fail) plus an optional SimObserver.  Each accepts
+// traffic in two shapes:
 //  * pre-routed: a span of SimPacket whose paths were materialised up
 //    front;
 //  * lazy: a span of TrafficPair plus a RoutePolicy — the core sorts the
@@ -50,15 +52,8 @@ struct EventSimConfig {
   int onchip_cycles_per_flit = 1;
   int offchip_cycles_per_flit = 1;  ///< set to d_I under a unit pin budget
 
-  /// Enables the degradation-under-failure machinery: the max_cycles guard,
-  /// fault accumulation from the schedule, timeout/re-route/backoff on
-  /// blocked hops, and the delivered/latency-percentile/stretch accounting.
-  bool fault_mode = false;
-  int timeout_cycles = 4;    ///< detection delay when a hop is dead
-  int max_retransmits = 8;   ///< rerouting attempts before dropping
-  int backoff_base = 2;      ///< first retry waits base, then doubles...
-  int backoff_cap = 1024;    ///< ...up to this many cycles
-  std::uint64_t max_cycles = std::uint64_t{1} << 32;  ///< hard stop
+  int max_retransmits = 8;   ///< rerouting attempts before dropping (chaos)
+  std::uint64_t max_cycles = std::uint64_t{1} << 32;  ///< hard stop (chaos)
 
   /// Lazy routing granularity: pairs routed per RoutePolicy::route_paths
   /// call (in injection order).
@@ -66,7 +61,7 @@ struct EventSimConfig {
 };
 
 /// The result of every simulator run.  Percentiles, timeout and stretch
-/// fields are populated only in fault mode; `flit_hops` counts link
+/// fields are populated only by simulate_chaos; `flit_hops` counts link
 /// traversals weighted by flits_per_packet.  `truncated` mirrors
 /// telemetry.truncated: the max_cycles watchdog tripped and every packet
 /// still in flight past the horizon was dropped — the counts are a valid
@@ -92,38 +87,33 @@ struct EventSimResult {
   SimTelemetry telemetry;
 };
 
-/// Pre-routed entry point: every packet carries its path.  Paths whose hops
-/// are not arcs of `g` raise std::invalid_argument, as do paths not running
-/// src..dst, flits_per_packet < 1, and an `offchip` table not built for `g`
-/// (num_arcs() != g.num_links()).  `schedule` and `reroute` are consulted
-/// only in fault mode (a null `reroute` drops packets at the first blocked
-/// hop).  In fault mode faults accumulate: once dead, a link stays dead.
+/// Pre-routed fault-free entry point: every packet carries its path.  Paths
+/// whose hops are not arcs of `g` raise std::invalid_argument, as do paths
+/// not running src..dst, flits_per_packet < 1, and an `offchip` table not
+/// built for `g` (num_arcs() != g.num_links()).
 EventSimResult simulate_events(const Graph& g, const OffchipTable& offchip,
                                std::span<const SimPacket> packets,
-                               const EventSimConfig& cfg,
-                               std::span<const LinkFault> schedule = {},
-                               const Rerouter* reroute = nullptr);
+                               const EventSimConfig& cfg);
 
-/// Lazy entry point: routes `pairs` through `policy` in injection-time
-/// order, `cfg.route_chunk` pairs per batch, the first time each packet's
-/// injection event pops.  Identical results to routing every pair up front
-/// and calling the pre-routed form (the event sequence does not depend on
-/// when paths materialise).
+/// Lazy fault-free entry point: routes `pairs` through `policy` in
+/// injection-time order, `cfg.route_chunk` pairs per batch, the first time
+/// each packet's injection event pops.  Identical results to routing every
+/// pair up front and calling the pre-routed form (the event sequence does
+/// not depend on when paths materialise).
 EventSimResult simulate_events(const Graph& g, const OffchipTable& offchip,
                                std::span<const TrafficPair> pairs,
-                               RoutePolicy& policy, const EventSimConfig& cfg,
-                               std::span<const LinkFault> schedule = {},
-                               const Rerouter* reroute = nullptr);
+                               RoutePolicy& policy, const EventSimConfig& cfg);
 
-/// Chaos entry points: the same event loop driven by the full fault
-/// taxonomy (FaultEvent) instead of permanent link kills only.  Repairs
-/// remove entries from the accumulated FaultSet, node crashes take out
-/// every incident channel, and kLinkSlow inflates the per-flit cycle count
-/// of both directions of a channel through the same path the OffchipTable
-/// classification feeds (occupancy = flits * base_cycles * multiplier).
-/// fault_mode is forced on — a chaos schedule is meaningless without the
-/// timeout/re-route/backoff machinery.  `observer`, when non-null, receives
-/// every hop/timeout/delivery/drop synchronously (see SimObserver).
+/// Chaos entry points: the same event loop driven by a FaultEvent schedule,
+/// with the max_cycles watchdog, timeout/re-route/backoff on blocked hops
+/// and the delivered/latency-percentile/stretch accounting.  Faults
+/// accumulate until repaired: repairs remove entries from the accumulated
+/// FaultSet, node crashes take out every incident channel, and kLinkSlow
+/// inflates the per-flit cycle count of both directions of a channel
+/// through the same path the OffchipTable classification feeds (occupancy
+/// = flits * base_cycles * multiplier).  A null `reroute` drops packets at
+/// the first blocked hop.  `observer`, when non-null, receives every
+/// hop/timeout/delivery/drop synchronously (see SimObserver).
 EventSimResult simulate_chaos(const Graph& g, const OffchipTable& offchip,
                               std::span<const SimPacket> packets,
                               const EventSimConfig& cfg,

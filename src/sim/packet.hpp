@@ -31,16 +31,8 @@ struct TrafficPair {
   std::uint64_t inject_time = 0;
 };
 
-/// One scheduled link kill: from cycle `time` on, the u<->v channel is dead
-/// in both directions.
-struct LinkFault {
-  std::uint64_t time = 0;
-  std::uint64_t u = 0;
-  std::uint64_t v = 0;
-};
-
-/// The full fault taxonomy the chaos subsystem drives through the event
-/// core.  A LinkFault schedule is the kLinkFail-only special case.
+/// The fault taxonomy simulate_chaos drives through the event core.  A
+/// schedule of permanent link kills is the kLinkFail-only special case.
 enum class FaultEventKind : std::uint8_t {
   kLinkFail,    ///< u<->v channel dies (both directions)
   kLinkRepair,  ///< u<->v channel comes back
@@ -78,14 +70,14 @@ struct FaultEvent {
   }
 };
 
-/// Why a fault-mode packet was dropped, as reported to SimObserver.
+/// Why a simulate_chaos packet was dropped, as reported to SimObserver.
 enum class DropReason : std::uint8_t {
   kRetransmitBudget,  ///< max_retransmits exceeded
   kUnreachable,       ///< the rerouter found no surviving route
   kWatchdog,          ///< the max_cycles watchdog tripped mid-flight
 };
 
-/// Optional hook into fault-mode event-core runs, called synchronously from
+/// Optional hook into simulate_chaos runs, called synchronously from
 /// the event loop.  Two consumers: the chaos InvariantChecker records a
 /// full trace for post-sim auditing, and AdaptiveFaultPolicy feeds per-arc
 /// EWMA health scores from the same signals a real NIC would see (per-hop

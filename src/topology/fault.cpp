@@ -1,12 +1,13 @@
 #include "topology/fault.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "topology/bfs.hpp"
 #include "topology/metrics.hpp"
+#include "topology/unit_flow.hpp"
 
 namespace scg {
 namespace {
@@ -37,6 +38,16 @@ std::vector<Channel> physical_links(const Graph& g) {
   std::sort(links.begin(), links.end());
   links.erase(std::unique(links.begin(), links.end()), links.end());
   return links;
+}
+
+/// A max-flow needs two distinct nodes of `g`: s == t would count one unit
+/// forever, and out-of-range ids index past the adjacency.
+void check_flow_pair(const Graph& g, std::uint64_t s, std::uint64_t t,
+                     const char* who) {
+  if (s >= g.num_nodes() || t >= g.num_nodes()) {
+    throw std::invalid_argument(std::string(who) + ": node out of range");
+  }
+  if (s == t) throw std::invalid_argument(std::string(who) + ": s == t");
 }
 
 }  // namespace
@@ -80,57 +91,16 @@ bool connected_after_faults(const Graph& g, const FaultSet& faults) {
 
 std::uint64_t edge_connectivity_pair(const Graph& g, std::uint64_t s,
                                      std::uint64_t t) {
-  // Unit-capacity max-flow with BFS augmenting paths over a residual
-  // adjacency-list copy of the graph (each arc capacity 1).
-  const std::uint64_t n = g.num_nodes();
-  struct Arc {
-    std::uint32_t to;
-    std::uint32_t rev;  // index of reverse arc in adj[to]
-    std::uint8_t cap;
-  };
-  std::vector<std::vector<Arc>> adj(n);
-  for (std::uint64_t u = 0; u < n; ++u) {
+  check_flow_pair(g, s, t, "edge_connectivity_pair");
+  // Every arc capacity 1.  For undirected graphs the opposite direction
+  // appears as its own arc, so this builds the standard undirected network.
+  UnitFlow f(g.num_nodes());
+  for (std::uint64_t u = 0; u < g.num_nodes(); ++u) {
     g.for_each_neighbor(u, [&](std::uint64_t v, std::int32_t) {
-      // Forward arc capacity 1; residual (reverse) capacity 0.  For
-      // undirected graphs the opposite direction appears as its own
-      // forward arc, so this builds the standard undirected flow network.
-      adj[u].push_back(Arc{static_cast<std::uint32_t>(v),
-                           static_cast<std::uint32_t>(adj[v].size()), 1});
-      adj[v].push_back(Arc{static_cast<std::uint32_t>(u),
-                           static_cast<std::uint32_t>(adj[u].size() - 1), 0});
+      f.add_arc(u, v);
     });
   }
-  std::uint64_t flow = 0;
-  for (;;) {
-    // BFS for an augmenting path.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> parent(
-        n, {UINT32_MAX, UINT32_MAX});  // (node, arc index)
-    std::queue<std::uint64_t> q;
-    q.push(s);
-    parent[s] = {static_cast<std::uint32_t>(s), UINT32_MAX};
-    while (!q.empty() && parent[t].first == UINT32_MAX) {
-      const std::uint64_t u = q.front();
-      q.pop();
-      for (std::uint32_t i = 0; i < adj[u].size(); ++i) {
-        const Arc& a = adj[u][i];
-        if (a.cap == 0 || parent[a.to].first != UINT32_MAX) continue;
-        parent[a.to] = {static_cast<std::uint32_t>(u), i};
-        q.push(a.to);
-      }
-    }
-    if (parent[t].first == UINT32_MAX) break;
-    // Augment by 1 along the path.
-    std::uint64_t v = t;
-    while (v != s) {
-      const auto [u, ai] = parent[v];
-      Arc& a = adj[u][ai];
-      a.cap = 0;
-      adj[v][a.rev].cap = 1;
-      v = u;
-    }
-    ++flow;
-  }
-  return flow;
+  return f.run(s, t);
 }
 
 std::uint64_t edge_connectivity(const Graph& g) {
@@ -144,60 +114,8 @@ std::uint64_t edge_connectivity(const Graph& g) {
 
 std::uint64_t vertex_connectivity_pair(const Graph& g, std::uint64_t s,
                                        std::uint64_t t) {
-  // Node splitting: each node u becomes u_in (= 2u) -> u_out (= 2u+1) with
-  // capacity 1 (infinite for s and t); each arc u->v becomes u_out -> v_in
-  // with capacity 1.  Max-flow s_out -> t_in counts internally
-  // node-disjoint paths.
-  const std::uint64_t n = g.num_nodes();
-  struct Arc {
-    std::uint32_t to;
-    std::uint32_t rev;
-    std::uint8_t cap;
-  };
-  std::vector<std::vector<Arc>> adj(2 * n);
-  auto add_arc = [&](std::uint64_t a, std::uint64_t b, std::uint8_t cap) {
-    adj[a].push_back(Arc{static_cast<std::uint32_t>(b),
-                         static_cast<std::uint32_t>(adj[b].size()), cap});
-    adj[b].push_back(Arc{static_cast<std::uint32_t>(a),
-                         static_cast<std::uint32_t>(adj[a].size() - 1), 0});
-  };
-  for (std::uint64_t u = 0; u < n; ++u) {
-    add_arc(2 * u, 2 * u + 1, (u == s || u == t) ? 255 : 1);
-    g.for_each_neighbor(u, [&](std::uint64_t v, std::int32_t) {
-      add_arc(2 * u + 1, 2 * v, 1);
-    });
-  }
-  const std::uint64_t src = 2 * s + 1;
-  const std::uint64_t dst = 2 * t;
-  std::uint64_t flow = 0;
-  for (;;) {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> parent(
-        2 * n, {UINT32_MAX, UINT32_MAX});
-    std::queue<std::uint64_t> q;
-    q.push(src);
-    parent[src] = {static_cast<std::uint32_t>(src), UINT32_MAX};
-    while (!q.empty() && parent[dst].first == UINT32_MAX) {
-      const std::uint64_t u = q.front();
-      q.pop();
-      for (std::uint32_t i = 0; i < adj[u].size(); ++i) {
-        const Arc& a = adj[u][i];
-        if (a.cap == 0 || parent[a.to].first != UINT32_MAX) continue;
-        parent[a.to] = {static_cast<std::uint32_t>(u), i};
-        q.push(a.to);
-      }
-    }
-    if (parent[dst].first == UINT32_MAX) break;
-    std::uint64_t v = dst;
-    while (v != src) {
-      const auto [u, ai] = parent[v];
-      Arc& a = adj[u][ai];
-      --a.cap;
-      ++adj[v][a.rev].cap;
-      v = u;
-    }
-    ++flow;
-  }
-  return flow;
+  check_flow_pair(g, s, t, "vertex_connectivity_pair");
+  return node_split_flow(g, s, t).run(2 * s + 1, 2 * t);
 }
 
 std::uint64_t vertex_connectivity(const Graph& g) {

@@ -31,6 +31,8 @@ bool connected_after_faults(const Graph& g, const FaultSet& faults);
 
 /// Exact edge connectivity between two nodes: max number of edge-disjoint
 /// paths (unit-capacity max-flow, BFS augmenting).  Small graphs only.
+/// Throws std::invalid_argument when s == t or either is not a node of g
+/// (as does vertex_connectivity_pair).
 std::uint64_t edge_connectivity_pair(const Graph& g, std::uint64_t s,
                                      std::uint64_t t);
 

@@ -79,7 +79,7 @@ EventSimResult ref_simulate_mcmp(
 
 EventSimResult ref_simulate_mcmp_faulty(
     const Graph& g, const std::function<bool(std::int32_t)>& is_offchip,
-    std::vector<SimPacket> packets, std::vector<LinkFault> schedule,
+    std::vector<SimPacket> packets, std::vector<FaultEvent> schedule,
     const Rerouter& reroute, const EventSimConfig& cfg) {
   struct Event {
     std::uint64_t time;
@@ -96,12 +96,12 @@ EventSimResult ref_simulate_mcmp_faulty(
   EventSimResult res;
   res.packets = packets.size();
   std::sort(schedule.begin(), schedule.end(),
-            [](const LinkFault& a, const LinkFault& b) { return a.time < b.time; });
+            [](const FaultEvent& a, const FaultEvent& b) { return a.time < b.time; });
   FaultSet faults;
   std::size_t next_fault = 0;
   const auto apply_faults_until = [&](std::uint64_t now) {
     while (next_fault < schedule.size() && schedule[next_fault].time <= now) {
-      const LinkFault& f = schedule[next_fault++];
+      const FaultEvent& f = schedule[next_fault++];
       faults.fail_link(f.u, f.v);
     }
   };
@@ -154,11 +154,8 @@ EventSimResult ref_simulate_mcmp_faulty(
       ps.path = std::move(repaired);
       ps.hop = 0;
       const std::uint64_t backoff = std::min<std::uint64_t>(
-          static_cast<std::uint64_t>(cfg.backoff_cap),
-          static_cast<std::uint64_t>(cfg.backoff_base) << (ps.retransmits - 1));
-      pq.push(Event{
-          ev.time + static_cast<std::uint64_t>(cfg.timeout_cycles) + backoff,
-          ev.packet});
+          1024, std::uint64_t{2} << (ps.retransmits - 1));
+      pq.push(Event{ev.time + 4 + backoff, ev.packet});
       continue;
     }
     const std::uint64_t arc = g.find_arc(u, v);
@@ -283,14 +280,14 @@ std::vector<SimPacket> staggered(std::vector<SimPacket> pkts) {
 
 /// A link-kill schedule drawn from hops the workload actually uses, so the
 /// fault machinery (timeout / re-route / backoff) genuinely fires.
-std::vector<LinkFault> kills_from(const std::vector<SimPacket>& pkts) {
-  std::vector<LinkFault> schedule;
+std::vector<FaultEvent> kills_from(const std::vector<SimPacket>& pkts) {
+  std::vector<FaultEvent> schedule;
   for (std::size_t i = 0; i < pkts.size() && schedule.size() < 6; i += 37) {
     const auto& path = pkts[i].path;
     if (path.size() < 3) continue;
     const std::size_t mid = path.size() / 2;
-    schedule.push_back(LinkFault{3 + 11 * schedule.size(), path[mid],
-                                 path[mid + 1]});
+    schedule.push_back(FaultEvent::link_fail(3 + 11 * schedule.size(),
+                                             path[mid], path[mid + 1]));
   }
   return schedule;
 }
@@ -355,17 +352,16 @@ TEST(GoldenEquality, FaultyMatchesSeedAcrossFamilies) {
   for (const Family& f : golden_families()) {
     const Graph g = materialize(f.net);
     const auto pkts = staggered(random_traffic_packets(f.net, 4, 11));
-    const std::vector<LinkFault> schedule = kills_from(pkts);
+    const std::vector<FaultEvent> schedule = kills_from(pkts);
     const FaultRouter router(f.net);
     const Rerouter reroute = make_rerouter(router);
     EventSimConfig cfg;
-    cfg.fault_mode = true;
     cfg.offchip_cycles_per_flit = std::max(1, f.net.intercluster_degree());
     const EventSimResult want = ref_simulate_mcmp_faulty(
         g, offchip_of(f.net), pkts, schedule, reroute, cfg);
     const EventSimResult got =
-        simulate_events(g, OffchipTable(g, offchip_of(f.net)), pkts, cfg,
-                        schedule, &reroute);
+        simulate_chaos(g, OffchipTable(g, offchip_of(f.net)), pkts, cfg,
+                       schedule, &reroute);
     EXPECT_EQ(got.packets, want.packets) << f.label;
     EXPECT_EQ(got.delivered, want.delivered) << f.label;
     EXPECT_EQ(got.dropped, want.dropped) << f.label;
@@ -483,18 +479,17 @@ TEST(LazyRouting, EqualsPreroutedUnderFaults) {
       staggered_pairs(random_traffic_pairs(net.num_nodes(), 4, 17));
   GamePolicy pre_policy(net);
   const std::vector<SimPacket> pkts = packets_for(pre_policy, pairs);
-  const std::vector<LinkFault> schedule = kills_from(pkts);
+  const std::vector<FaultEvent> schedule = kills_from(pkts);
   const FaultRouter router(net);
   const Rerouter reroute = make_rerouter(router);
   EventSimConfig cfg;
-  cfg.fault_mode = true;
   cfg.offchip_cycles_per_flit = std::max(1, net.intercluster_degree());
   cfg.route_chunk = 50;
   GamePolicy lazy_policy(net);
   const EventSimResult lazy =
-      simulate_events(g, offchip, pairs, lazy_policy, cfg, schedule, &reroute);
+      simulate_chaos(g, offchip, pairs, lazy_policy, cfg, schedule, &reroute);
   const EventSimResult pre =
-      simulate_events(g, offchip, pkts, cfg, schedule, &reroute);
+      simulate_chaos(g, offchip, pkts, cfg, schedule, &reroute);
   EXPECT_EQ(lazy.delivered, pre.delivered);
   EXPECT_EQ(lazy.dropped, pre.dropped);
   EXPECT_EQ(lazy.timeouts, pre.timeouts);

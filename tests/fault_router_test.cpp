@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <random>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -78,7 +79,7 @@ TEST(FaultRouter, NoFaultsMatchesGameRoute) {
   }
 }
 
-TEST(FaultRouter, ExhaustiveSingleLinkFaultsOnSixCycle) {
+TEST(FaultRouter, ExhaustiveSingleLinkCutsOnSixCycle) {
   // MS(2,1) is a 6-cycle (degree 2): every <= degree-1 = 1 link fault set,
   // every ordered pair — all must be delivered with a clean word.
   const NetworkSpec net = make_macro_star(2, 1);
@@ -101,7 +102,7 @@ TEST(FaultRouter, ExhaustiveSingleLinkFaultsOnSixCycle) {
   }
 }
 
-TEST(FaultRouter, AllTwoLinkFaultSetsOnMacroStar31) {
+TEST(FaultRouter, AllTwoLinkCutSetsOnMacroStar31) {
   // MS(3,1) has degree 3 and 24 nodes: every fault set of <= 2 links keeps
   // the network connected (edge connectivity == 3), so every pair must be
   // delivered.  All C(36,2)+36+1 = 667 fault sets x 8 pseudorandom pairs
@@ -204,6 +205,58 @@ TEST(FaultRouter, IsolatedDestinationReportsUnreachable) {
   EXPECT_FALSE(router.route(t, std::uint64_t{0}, faults).delivered());
 }
 
+TEST(FaultRouter, ConcurrentRoutesMatchSerial) {
+  // route() is documented thread-safe.  Four threads share one fresh router
+  // (racing to fill the locked backup cache, each on its own engine scratch
+  // and length buffers) under a fault set dense enough to reach stages 3
+  // and 4; every outcome must equal a serial run on another router.
+  const NetworkSpec net = make_macro_star(2, 2);
+  const Graph g = materialize(net);
+  std::mt19937_64 rng(71);
+  const FaultSet faults = sample_random_faults(g, 0, 60, rng);
+  std::uniform_int_distribution<std::uint64_t> pick(0, net.num_nodes() - 1);
+  std::vector<Link> pairs;
+  while (pairs.size() < 400) {
+    const std::uint64_t s = pick(rng), t = pick(rng);
+    if (s != t) pairs.emplace_back(s, t);
+  }
+
+  const FaultRouter serial_router(net);
+  std::vector<RouteOutcome> want;
+  int backups = 0, bfs = 0;
+  for (const auto& [s, t] : pairs) {
+    want.push_back(serial_router.route(s, t, faults));
+    backups += want.back().used_backup;
+    bfs += want.back().used_bfs_fallback;
+  }
+  ASSERT_GT(backups, 0);
+  ASSERT_GT(bfs, 0);
+
+  const FaultRouter shared(net);
+  std::vector<std::vector<RouteOutcome>> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < got.size(); ++w) {
+    threads.emplace_back([&, w] {
+      for (const auto& [s, t] : pairs) {
+        got[w].push_back(shared.route(s, t, faults));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::vector<RouteOutcome>& outs : got) {
+    ASSERT_EQ(outs.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(outs[i].status, want[i].status) << i;
+      EXPECT_EQ(outs[i].word, want[i].word) << i;
+      EXPECT_EQ(outs[i].path, want[i].path) << i;
+      EXPECT_EQ(outs[i].reason, want[i].reason) << i;
+      EXPECT_EQ(outs[i].repairs, want[i].repairs) << i;
+      EXPECT_EQ(outs[i].used_backup, want[i].used_backup) << i;
+      EXPECT_EQ(outs[i].used_bfs_fallback, want[i].used_bfs_fallback) << i;
+    }
+  }
+}
+
 TEST(NodeDisjointPaths, DegreeManyAndInternallyDisjoint) {
   for (const NetworkSpec& net : {make_macro_star(2, 2), make_star_graph(4),
                                  make_insertion_selection(4)}) {
@@ -304,12 +357,6 @@ TEST(WordFromPath, ThrowsOnNonAdjacentHop) {
 
 // ---- degradation simulation ----
 
-const EventSimConfig kFaultMode = [] {
-  EventSimConfig cfg;
-  cfg.fault_mode = true;
-  return cfg;
-}();
-
 std::vector<SimPacket> routed_packets(const FaultRouter& router, int count,
                                       std::uint64_t seed) {
   const NetworkSpec& net = router.spec();
@@ -340,7 +387,7 @@ TEST(FaultySim, EmptyScheduleMatchesPlainSimulator) {
   const Rerouter reroute = make_rerouter(router);
   const EventSimResult plain = simulate_events(g, offchip, pkts, {});
   const EventSimResult faulty =
-      simulate_events(g, offchip, pkts, kFaultMode, {}, &reroute);
+      simulate_chaos(g, offchip, pkts, {}, {}, &reroute);
   EXPECT_EQ(faulty.delivered, faulty.packets);
   EXPECT_EQ(faulty.dropped, 0u);
   EXPECT_EQ(faulty.delivered_fraction, 1.0);
@@ -360,13 +407,12 @@ TEST(FaultySim, MidRunLinkKillRetransmitsAndDelivers) {
   // Kill the first hop of packet 0 before it moves: a timeout + re-route is
   // forced, and edge connectivity 3 > 2 kills keeps everything deliverable.
   ASSERT_GE(pkts[0].path.size(), 2u);
-  std::vector<LinkFault> schedule;
-  schedule.push_back(LinkFault{0, pkts[0].path[0], pkts[0].path[1]});
-  schedule.push_back(LinkFault{5, pkts[1].path[0], pkts[1].path[1]});
+  std::vector<FaultEvent> schedule;
+  schedule.push_back(FaultEvent::link_fail(0, pkts[0].path[0], pkts[0].path[1]));
+  schedule.push_back(FaultEvent::link_fail(5, pkts[1].path[0], pkts[1].path[1]));
   const Rerouter reroute = make_rerouter(router);
-  const EventSimResult r =
-      simulate_events(g, OffchipTable::uniform(g, true), pkts, kFaultMode,
-                      schedule, &reroute);
+  const EventSimResult r = simulate_chaos(g, OffchipTable::uniform(g, true),
+                                          pkts, {}, schedule, &reroute);
   EXPECT_EQ(r.delivered + r.dropped, r.packets);
   EXPECT_EQ(r.delivered, r.packets);  // 2 link faults < edge connectivity
   EXPECT_GE(r.timeouts, 1u);
@@ -388,14 +434,13 @@ TEST(FaultySim, UnreachableDestinationIsDroppedNotCrashed) {
   pkts[0].src = 0;
   pkts[0].dst = dst;
   pkts[0].path.assign(out.path.begin(), out.path.end());
-  std::vector<LinkFault> schedule;  // cut the destination off at time 0
+  std::vector<FaultEvent> schedule;  // cut the destination off at time 0
   view.for_each_neighbor(dst, [&](std::uint64_t v, std::int32_t) {
-    schedule.push_back(LinkFault{0, dst, v});
+    schedule.push_back(FaultEvent::link_fail(0, dst, v));
   });
   const Rerouter reroute = make_rerouter(router);
-  const EventSimResult r =
-      simulate_events(g, OffchipTable::uniform(g, true), pkts, kFaultMode,
-                      schedule, &reroute);
+  const EventSimResult r = simulate_chaos(g, OffchipTable::uniform(g, true),
+                                          pkts, {}, schedule, &reroute);
   EXPECT_EQ(r.delivered, 0u);
   EXPECT_EQ(r.dropped, 1u);
   EXPECT_EQ(r.delivered_fraction, 0.0);

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
+#include <utility>
 
 #include "networks/view.hpp"
 #include "topology/baselines.hpp"
@@ -64,6 +66,19 @@ TEST(VertexConnectivity, PairOnRing) {
   EXPECT_EQ(vertex_connectivity_pair(g, 0, 4), 2u);
   // Adjacent pair: the direct edge plus the long way around.
   EXPECT_EQ(vertex_connectivity_pair(g, 0, 1), 2u);
+}
+
+TEST(Connectivity, PairRejectsEqualOrOutOfRangeNodes) {
+  // s == t used to hang edge_connectivity_pair (t is found at once and one
+  // unit counted forever) and made vertex_connectivity_pair report 2.
+  const Graph g = make_ring(6);
+  EXPECT_THROW(edge_connectivity_pair(g, 0, 0), std::invalid_argument);
+  EXPECT_THROW(vertex_connectivity_pair(g, 0, 0), std::invalid_argument);
+  for (const auto& [s, t] : {std::pair<std::uint64_t, std::uint64_t>{6, 0},
+                             {0, 6}, {0, UINT64_MAX}}) {
+    EXPECT_THROW(edge_connectivity_pair(g, s, t), std::invalid_argument);
+    EXPECT_THROW(vertex_connectivity_pair(g, s, t), std::invalid_argument);
+  }
 }
 
 TEST(VertexConnectivity, StarGraphIsKMinusTwo) {
