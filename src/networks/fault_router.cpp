@@ -42,6 +42,9 @@ std::vector<std::vector<std::uint64_t>> node_disjoint_paths(
     throw std::invalid_argument(
         "node_disjoint_paths: network exceeds 40000 nodes");
   }
+  if (s >= net.num_nodes() || t >= net.num_nodes()) {
+    throw std::invalid_argument("node_disjoint_paths: node out of range");
+  }
   if (s == t) return {};
   // The max flow s_out -> t_in of the node-split network is the number of
   // internally node-disjoint s-t paths (degree for these maximally

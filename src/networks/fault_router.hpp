@@ -55,8 +55,9 @@ struct RouteOutcome {
 /// Degree-many internally node-disjoint s-t paths, via node-splitting
 /// unit-capacity max-flow over the compiled view (the operational face of
 /// vertex connectivity == degree).  Each path is a node-rank sequence
-/// s..t; none when s == t.  Throws when the network exceeds 40000 nodes
-/// (the flow network is explicit).
+/// s..t; none when s == t.  Throws std::invalid_argument when s or t is not
+/// a node of `net` or the network exceeds 40000 nodes (the flow network is
+/// explicit).
 std::vector<std::vector<std::uint64_t>> node_disjoint_paths(
     const NetworkSpec& net, std::uint64_t s, std::uint64_t t);
 

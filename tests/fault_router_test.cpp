@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -287,6 +288,14 @@ TEST(NodeDisjointPaths, DegreeManyAndInternallyDisjoint) {
       }
     }
   }
+}
+
+TEST(NodeDisjointPaths, RejectsOutOfRangeNodes) {
+  const NetworkSpec net = make_macro_star(2, 2);
+  const std::uint64_t n = net.num_nodes();
+  EXPECT_THROW(node_disjoint_paths(net, 0, n), std::invalid_argument);
+  EXPECT_THROW(node_disjoint_paths(net, n, 0), std::invalid_argument);
+  EXPECT_TRUE(node_disjoint_paths(net, 5, 5).empty());
 }
 
 TEST(NodeDisjointPaths, SurviveAnyDegreeMinusOneLinkCut) {
