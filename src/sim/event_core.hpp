@@ -52,8 +52,8 @@ struct EventSimConfig {
   int onchip_cycles_per_flit = 1;
   int offchip_cycles_per_flit = 1;  ///< set to d_I under a unit pin budget
 
-  int max_retransmits = 8;   ///< rerouting attempts before dropping (chaos)
-  std::uint64_t max_cycles = std::uint64_t{1} << 32;  ///< hard stop (chaos)
+  int max_retransmits = 8;  ///< simulate_chaos: reroutes before a drop
+  std::uint64_t max_cycles = std::uint64_t{1} << 32;  ///< simulate_chaos watchdog
 
   /// Lazy routing granularity: pairs routed per RoutePolicy::route_paths
   /// call (in injection order).
