@@ -151,8 +151,7 @@ RouteOutcome FaultRouter::route(const Permutation& from, const Permutation& to,
   RouteBuffer& rb = engine_.scratch();
   std::span<const Generator> pending = engine_.route_into(from, to, rb);
   const std::size_t hop_budget =
-      kHopFactor * (pending.size() + static_cast<std::size_t>(net_->k())) +
-      16;
+      kHopFactor * (pending.size() + static_cast<std::size_t>(net_->k())) + 16;
   std::size_t pi = 0;
   bool exhausted = false;
   std::array<std::uint64_t, kMaxCompiledDegree> buf;

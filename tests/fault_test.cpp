@@ -69,8 +69,8 @@ TEST(VertexConnectivity, PairOnRing) {
 }
 
 TEST(Connectivity, PairRejectsEqualOrOutOfRangeNodes) {
-  // s == t used to hang edge_connectivity_pair (t is found at once and one
-  // unit counted forever) and made vertex_connectivity_pair report 2.
+  // s == t has no connectivity: the BFS reaches t at once, so the edge
+  // version would count one unit forever and the vertex version report 2.
   const Graph g = make_ring(6);
   EXPECT_THROW(edge_connectivity_pair(g, 0, 0), std::invalid_argument);
   EXPECT_THROW(vertex_connectivity_pair(g, 0, 0), std::invalid_argument);
